@@ -26,15 +26,17 @@ from .suites import SUITE_NAMES, SUITES
 def _parse_int_set(text: str) -> tuple[int, ...]:
     """Moduli sets: '1..5' or '2,3' or '4'."""
     if ".." in text:
-        a, _, b = text.partition("..")
-        return tuple(range(int(a), int(b) + 1))
+        lo, hi = _parse_range(text)
+        return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(","))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """Index ranges: '0..4' or '3'."""
+    """Index ranges: '0..4' or '3'; an empty (inverted) range is an error."""
     if ".." in text:
         a, _, b = text.partition("..")
+        if int(b) < int(a):
+            raise ValueError(f"empty range {text!r}")
         return int(a), int(b)
     n = int(text)
     return n, n

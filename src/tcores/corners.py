@@ -34,11 +34,14 @@ def q_k(lam: Partition, k: int):
     """Corner power sum: sum of x_i^k minus sum of y_j^k.
 
     q_0 = 1, q_1 = 0 and q_2 = 2|lam| for every partition.  Negative k is
-    accepted (exact rationals) but unused by anything built on top.
+    accepted (exact rationals) unless a corner has content 0, but unused by
+    anything built on top.
     """
     cd = corners(lam)
     if k >= 0:
         return sum(x**k for x in cd.x) - sum(y**k for y in cd.y)
+    if 0 in cd.x or 0 in cd.y:
+        raise ValueError(f"q_{k} of {lam.to_text()} divides by its corner content 0")
     return sum(Fraction(1, x) ** -k for x in cd.x) - sum(Fraction(1, y) ** -k for y in cd.y)
 
 

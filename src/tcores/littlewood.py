@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
 from typing import Iterable, NamedTuple
 
 from .boundary import BoundarySequence, partition_from_word
@@ -88,19 +89,21 @@ def core_offsets(mu: Partition, t: int) -> CoreOffsets:
 
 @lru_cache(maxsize=None)
 def recompose(core: Partition, quotients: tuple[Partition, ...], t: int) -> Partition:
-    """Inverse of (t_core, t_quotients): interleave the quotient words back
-    into the residue classes, shifted by the core's offsets d_i."""
+    """Inverse of (t_core, t_quotients): interleave the runners of the
+    t-abacus.  Quotient i's beads q_k - k sit on runner i shifted by d_i, at
+    positions t*(q_k - k + d_i) + i; the first M + d_i beads of every runner,
+    M = max(len(q_i) - d_i), are the first t*M beads beta_j of lam, and
+    lam_j = beta_j + j."""
     if len(quotients) != t:
         raise ValueError(f"need exactly {t} quotients, got {len(quotients)}")
-    off = core_offsets(core, t)
-    seqs = [BoundarySequence.from_partition(q) for q in quotients]
-    lo = min(t * (s.lo + off.d[i]) + i for i, s in enumerate(seqs))
-    hi = max(t * (s.hi + off.d[i]) + i for i, s in enumerate(seqs))
-    bits = []
-    for p in range(lo, hi + 1):
-        i = p % t
-        bits.append(seqs[i].value((p - i) // t - off.d[i]))
-    return BoundarySequence(lo, bits).to_partition()
+    d = core_offsets(core, t).d
+    m = max(len(q) - d[i] for i, q in enumerate(quotients))
+    beads = []
+    for i, q in enumerate(quotients):
+        parts = q.parts + (0,) * (m + d[i] - len(q))
+        beads.extend(t * (p - k + d[i]) + i for k, p in enumerate(parts, start=1))
+    beads.sort(reverse=True)
+    return Partition(takewhile(bool, (b + j for j, b in enumerate(beads, start=1))))
 
 
 @dataclass(frozen=True)

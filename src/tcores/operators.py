@@ -24,9 +24,11 @@ from .boundary import BoundarySequence
 from .corners import StatSpec, q_tuple, stat_eval
 from .littlewood import is_t_core, offending_hook, t_quotients
 from .partitions import Partition
-from .weights import F_skew, G_lambda, enumerate_layer_above
+from .weights import G_lambda, layer_walk
 
-Statistic = Callable[[Partition], "Fraction | int"]
+# A string, not a typing subscript: typing caches subscripts by argument, so
+# Callable[[Partition], ...] would keep every re-imported Partition alive.
+Statistic = "Callable[[Partition], Fraction | int]"
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +57,7 @@ def apply_Dt(g: Statistic, lam: Partition, t: int):
 
 def layer_average(g: Statistic, mu: Partition, t: int, n: int):
     """Walk-weighted sum of g over the layer n t-hooks above mu (mu arbitrary)."""
-    return sum(F_skew(lam, mu, t) * g(lam) for lam in enumerate_layer_above(mu, t, n))
+    return sum(F * g(lam) for lam, F in layer_walk(mu, t, n))
 
 
 def plancherel_average(g: Statistic, mu: Partition, t: int, n: int):
@@ -229,9 +231,9 @@ def layer_sum(g: Statistic, mu: Partition, t: int, n: int, workers: int = 1):
         raise ValueError(f"{mu.to_text()} is not a {t}-core (hook {offending_hook(mu, t)})")
     if workers <= 1:
         return layer_average(g, mu, t, n)
-    lams = list(enumerate_layer_above(mu, t, n))
-    chunks = [lams[i::workers] for i in range(workers)]
-    jobs = [(chunk, g, mu, t) for chunk in chunks if chunk]
+    pairs = list(layer_walk(mu, t, n))
+    chunks = [pairs[i::workers] for i in range(workers)]
+    jobs = [(chunk, g) for chunk in chunks if chunk]
     try:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -243,5 +245,5 @@ def layer_sum(g: Statistic, mu: Partition, t: int, n: int, workers: int = 1):
 
 
 def _chunk_sum(job):
-    chunk, g, mu, t = job
-    return sum((F_skew(lam, mu, t) * g(lam) for lam in chunk), Fraction(0))
+    pairs, g = job
+    return sum((F * g(lam) for lam, F in pairs), Fraction(0))

@@ -28,7 +28,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(parts)
         for p in ps:
-            if not isinstance(p, int):
+            if not isinstance(p, int) or isinstance(p, bool):
                 raise TypeError(f"partition parts must be integers, got {p!r}")
         while ps and ps[-1] == 0:
             ps = ps[:-1]
@@ -152,14 +152,15 @@ def cell_stats(lam: Partition) -> list[CellStat]:
 
 @lru_cache(maxsize=None)
 def hook_lengths(lam: Partition) -> tuple[int, ...]:
-    """Row-major hook lengths."""
-    return tuple(c.hook for c in cell_stats(lam))
+    """Row-major hook lengths, arm + leg + 1 from the conjugate's column heights."""
+    cols = lam.conjugate().parts
+    return tuple(row - j + cols[j] - i for i, row in enumerate(lam.parts, start=1) for j in range(row))
 
 
 @lru_cache(maxsize=None)
 def contents(lam: Partition) -> tuple[int, ...]:
     """Row-major contents (col - row, signed)."""
-    return tuple(c.content for c in cell_stats(lam))
+    return tuple(j - i for i, row in enumerate(lam.parts) for j in range(row))
 
 
 def hook_multiset_mod(lam: Partition, t: int, residues: Iterable[int]) -> list[int]:

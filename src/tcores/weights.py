@@ -97,12 +97,30 @@ def enumerate_layer(mu: Partition, t: int, n: int) -> Iterator[Partition]:
 
 def enumerate_layer_above(mu: Partition, t: int, n: int) -> Iterator[Partition]:
     """All lam >=_t mu with |lam/mu| = n*t, for arbitrary mu."""
+    for dm, _, quots in _quotient_walk(mu, t, n):
+        yield recompose(dm.core, quots, t)
+
+
+def layer_walk(mu: Partition, t: int, n: int) -> Iterator[tuple[Partition, int]]:
+    """(lam, F_skew(lam, mu, t)) over enumerate_layer_above(mu, t, n), with F
+    taken from the quotient tuples the walk generates: the multinomial of
+    the composition times f of each quotient over mu's.  Above a t-core
+    every inner quotient is empty and f is the hook formula."""
+    for dm, comp, quots in _quotient_walk(mu, t, n):
+        F = multinomial(comp)
+        for q, inner in zip(quots, dm.quotients):
+            F *= f_skew(q, inner) if inner else f_lambda(q)
+        yield recompose(dm.core, quots, t), F
+
+
+def _quotient_walk(mu: Partition, t: int, n: int) -> Iterator[tuple]:
+    """(decompose(mu, t), composition, quotient tuple) for every lam above mu."""
     if n < 0:
         raise ValueError(f"layer index must be non-negative, got {n}")
     dm = decompose(mu, t)
     for comp in _compositions(n, t):
         for quots in _super_tuples(dm.quotients, comp, 0):
-            yield recompose(dm.core, quots, t)
+            yield dm, comp, quots
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from tcores.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -167,3 +169,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["core"] == "3,1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bijection", "--t", "5..1"],
+        ["verify", "averages", "--n", "0..-1"],
+        ["average", "--t", "2", "--n", "3..1", "--stat", "hook:j=0,pow=2"],
+    ],
+)
+def test_empty_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "empty range" in err

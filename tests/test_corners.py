@@ -59,6 +59,13 @@ def test_q_negative_exponent():
     assert q_k(Partition((3,)), -1) == Fraction(-1, 1) + Fraction(1, 3) - Fraction(1, 2)
 
 
+def test_q_negative_exponent_rejects_zero_content_corner():
+    with pytest.raises(ValueError):
+        q_k(Partition((1,)), -1)
+    with pytest.raises(ValueError):
+        q_k(EMPTY, -2)
+
+
 def test_q_increment_examples():
     lam = Partition((2,))
     assert q_increment(lam, 2, -1) == 2

@@ -214,3 +214,23 @@ def test_of_matches_decompose():
     dec = decompose(lam, 3)
     rebuilt = LittlewoodDecomposition.of(dec.core, dec.quotients, 3)
     assert rebuilt == dec
+
+
+def window_recompose(core, quotients, t):
+    """Recomposition on the boundary window: every index p of lam's word
+    reads quotient p mod t's word, shifted by the core's offset d_i."""
+    d = core_offsets(core, t).d
+    seqs = [BoundarySequence.from_partition(q) for q in quotients]
+    lo = min(t * (s.lo + d[i]) + i for i, s in enumerate(seqs))
+    hi = max(t * (s.hi + d[i]) + i for i, s in enumerate(seqs))
+    bits = [seqs[p % t].value(p // t - d[p % t]) for p in range(lo, hi + 1)]
+    return BoundarySequence(lo, bits).to_partition()
+
+
+def test_bead_recompose_matches_window_reference():
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for t in range(1, 7):
+                dec = decompose(lam, t)
+                assert recompose(dec.core, dec.quotients, t) == lam
+                assert window_recompose(dec.core, dec.quotients, t) == lam

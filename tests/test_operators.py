@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tcores.corners import StatSpec
@@ -15,6 +19,7 @@ from tcores.operators import (
 from tcores.partitions import Partition, enumerate_partitions
 
 EMPTY = Partition()
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def test_covers_examples():
@@ -217,3 +222,23 @@ def test_covers_rejects_bad_modulus():
 def test_statistic_rejects_wrong_exponent_count():
     with pytest.raises(ValueError):
         PartitionStatistic(3, q_exponents=(Partition((2,)),))
+
+
+def test_reimports_do_not_pin_old_packages():
+    # Nothing at module level may hold a package class in a process-wide
+    # cache (typing caches subscripts like Callable[[Partition], ...] in
+    # 128-entry LRUs), or every re-import keeps the old package alive: one
+    # more live Partition class per re-import.
+    code = """
+import gc, sys
+for _ in range(200):
+    for name in [m for m in sys.modules if m == "tcores" or m.startswith("tcores.")]:
+        del sys.modules[name]
+    import tcores
+gc.collect()
+print(sum(1 for o in gc.get_objects() if isinstance(o, type) and o.__name__ == "Partition"))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 2

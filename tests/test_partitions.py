@@ -1,5 +1,6 @@
 import pytest
 
+from tcores.boundary import BoundarySequence
 from tcores.partitions import (
     Partition,
     cell_stats,
@@ -31,6 +32,12 @@ def test_construction_rejects_non_partitions(bad):
 def test_construction_rejects_non_integers():
     with pytest.raises(TypeError):
         Partition((2.5, 1))
+
+
+@pytest.mark.parametrize("bad", [(True,), (2, True), (False,)])
+def test_construction_rejects_bools(bad):
+    with pytest.raises(TypeError):
+        Partition(bad)
 
 
 def test_text_round_trip():
@@ -150,3 +157,15 @@ def test_repr_and_str():
     lam = Partition((3, 1))
     assert repr(lam) == "Partition([3, 1])"
     assert str(lam) == "3,1"
+
+
+def test_hook_loops_match_cell_stats_and_inversion_pairs():
+    # The direct loops against the per-cell records and against the
+    # boundary word's hook oracle (one inversion pair per cell, hook j - i).
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            cells = cell_stats(lam)
+            assert hook_lengths(lam) == tuple(c.hook for c in cells)
+            assert contents(lam) == tuple(c.content for c in cells)
+            pairs = BoundarySequence.from_partition(lam).inversion_pairs()
+            assert sorted(hook_lengths(lam)) == sorted(j - i for i, j in pairs)

@@ -17,6 +17,7 @@ from tcores.weights import (
     f_skew,
     geq_t,
     hook_product,
+    layer_walk,
     multinomial,
 )
 
@@ -196,3 +197,17 @@ def test_random_layer_membership():
 def test_layer_above_rejects_negative_index():
     with pytest.raises(ValueError):
         list(enumerate_layer_above(EMPTY, 2, -1))
+
+
+def test_layer_walk_F_matches_skew_oracle():
+    # Above cores (hook formula per quotient) and above non-cores (skew
+    # counts), F from the quotients equals F_skew, which decomposes every
+    # lam and counts tableaux with the exhaustive oracle.
+    for t, n_max in ((1, 6), (2, 4), (3, 3), (4, 2)):
+        for mu in (lam for size in range(6) for lam in enumerate_partitions(size)):
+            for n in range(n_max + 1):
+                pairs = list(layer_walk(mu, t, n))
+                assert [lam for lam, _ in pairs] == list(enumerate_layer_above(mu, t, n))
+                assert len({lam for lam, _ in pairs}) == len(pairs)
+                for lam, F in pairs:
+                    assert F == F_skew(lam, mu, t)
