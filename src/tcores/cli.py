@@ -6,8 +6,7 @@ Subcommands:
   verify     run a named verification suite and report pass/fail
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-byte-deterministic for fixed flags, except the wall-time field of suite
-reports.
+byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations

@@ -120,11 +120,15 @@ class StatSpec:
         t = default_t
         residue = power = None
         paired = False
+        seen = set()
         for token in filter(None, (tok.strip() for tok in body.split(","))):
+            key, eq, val = token.partition("=")
+            if key in seen:
+                raise ValueError(f"repeated statistic key {key!r} in {text!r}")
+            seen.add(key)
             if token == "paired":
                 paired = True
-            elif "=" in token:
-                key, _, val = token.partition("=")
+            elif eq:
                 try:
                     num = int(val)
                 except ValueError:

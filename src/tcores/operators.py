@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Callable, Sequence
 
-from .boundary import BoundarySequence
 from .corners import StatSpec, q_tuple, stat_eval
 from .littlewood import is_t_core, offending_hook, t_quotients
 from .partitions import Partition
@@ -33,20 +32,18 @@ Statistic = "Callable[[Partition], Fraction | int]"
 
 @lru_cache(maxsize=None)
 def covers(lam: Partition, t: int) -> tuple[Partition, ...]:
-    """All partitions one t-hook above lam: every (0, 1) -> (1, 0) swap at
-    distance t in the boundary word.  Sorted, hence deterministic."""
+    """All partitions one t-hook above lam, on the abacus: of the beads
+    lam_j - j (parts padded with t zeros), every bead p with a gap at p + t
+    moves there, and lam_j = beta_j + j.  Sorted, hence deterministic."""
     if t < 1:
         raise ValueError(f"modulus must be positive, got {t}")
-    seq = BoundarySequence.from_partition(lam)
+    beads = [p - j for j, p in enumerate(lam.parts + (0,) * t, start=1)]
+    occupied = set(beads)
     out = []
-    for i in range(seq.lo - t, seq.hi + 1):
-        if seq.value(i) == 0 and seq.value(i + t) == 1:
-            lo = min(seq.lo, i)
-            hi = max(seq.hi, i + t)
-            bits = [seq.value(p) for p in range(lo, hi + 1)]
-            bits[i - lo] = 1
-            bits[i + t - lo] = 0
-            out.append(BoundarySequence(lo, bits).to_partition())
+    for k, p in enumerate(beads):
+        if p + t not in occupied:
+            moved = sorted(beads[:k] + [p + t] + beads[k + 1 :], reverse=True)
+            out.append(Partition(b + j for j, b in enumerate(moved, start=1)))
     return tuple(sorted(out))
 
 
@@ -61,9 +58,15 @@ def layer_average(g: Statistic, mu: Partition, t: int, n: int):
 
 
 def plancherel_average(g: Statistic, mu: Partition, t: int, n: int):
-    """Exact t-weighted average of g over {lam : core(lam) = mu, |lam/mu| = nt}."""
+    """Exact t-weighted average of g over {lam : core(lam) = mu, |lam/mu| = nt}.
+
+    Above a t-core F = n! t^n G, so for a G-weighted product statistic the
+    measure F*G is F^2 / (n! t^n): integer sums and one division."""
     if not is_t_core(mu, t):
         raise ValueError(f"{mu.to_text()} is not a {t}-core (hook {offending_hook(mu, t)})")
+    if isinstance(g, PartitionStatistic) and g.weight and g.t == t:
+        total = sum(F * F * g.unweighted(lam) for lam, F in layer_walk(mu, t, n))
+        return Fraction(total, factorial(n) * t**n)
     return layer_average(g, mu, t, n)
 
 
@@ -111,7 +114,12 @@ class PartitionStatistic:
             raise ValueError("need one exponent partition per residue class")
 
     def __call__(self, lam: Partition):
-        val: Fraction | int = G_lambda(lam, self.t) if self.weight else 1
+        val = self.unweighted(lam)
+        return G_lambda(lam, self.t) * val if self.weight else val
+
+    def unweighted(self, lam: Partition) -> int:
+        """The product of the factors without G."""
+        val = 1
         for spec in self.specs:
             val *= stat_eval(lam, spec)
         if self.q_exponents is not None:
@@ -190,8 +198,9 @@ def certify_polynomiality(
     """Sample P_g on [0, degree_bound + safety] and certify (or refute, with
     a witness) that all differences of order degree_bound + 1 vanish there.
 
-    Every consecutive pair is cross-checked against an independent
-    evaluation of P over the operator-image statistic; failure there is an
+    Every layer of the window is checked once, whatever g is, by
+    `_check_path_recursion`; that check implies the telescoping identity
+    P_g(n+1) - P_g(n) = P_{Dg}(n) for every g, and a failure there is an
     internal inconsistency, not a refutation, and aborts.
     """
     if degree_bound < 0:
@@ -201,12 +210,7 @@ def certify_polynomiality(
     m = degree_bound + safety
     values = [plancherel_average(g, mu, t, n) for n in range(m + 1)]
     for n in range(m):
-        step = plancherel_average(lambda lam: apply_Dt(g, lam, t), mu, t, n)
-        if values[n + 1] - values[n] != step:
-            raise RuntimeError(
-                f"telescoping mismatch at n={n} (t={t}, core={mu.to_text()}): "
-                f"{values[n + 1] - values[n]} != {step}"
-            )
+        _check_path_recursion(mu, t, n)
     diffs = forward_differences(values)
     row = diffs[degree_bound + 1]
     witness = next((j for j, v in enumerate(row) if v != 0), None)
@@ -221,17 +225,34 @@ def certify_polynomiality(
     )
 
 
+@lru_cache(maxsize=None)
+def _check_path_recursion(mu: Partition, t: int, n: int) -> None:
+    """Raise unless the covers of layer n are exactly layer n+1, with
+    F(nu) = sum of F(lam) over its lower covers lam, and the sum of F^2 over
+    layer n+1 is (n+1)! t^(n+1), the normalization of the F^2 measure."""
+    reached: dict[Partition, int] = {}
+    for lam, F in layer_walk(mu, t, n):
+        for nu in covers(lam, t):
+            reached[nu] = reached.get(nu, 0) + F
+    upper = dict(layer_walk(mu, t, n + 1))
+    where = f"n={n} (t={t}, core={mu.to_text()})"
+    if reached != upper:
+        raise RuntimeError(f"path recursion fails between layers {where}")
+    if sum(F * F for F in upper.values()) != factorial(n + 1) * t ** (n + 1):
+        raise RuntimeError(f"sum of F^2 over layer n+1 is not (n+1)! t^(n+1) at {where}")
+
+
 def layer_sum(g: Statistic, mu: Partition, t: int, n: int, workers: int = 1):
     """plancherel_average, optionally split across worker processes.
 
     Workers own interleaved slices of the layer; exact rational addition is
     associative and commutative, so the result is independent of N.
     """
+    if workers <= 1:
+        return plancherel_average(g, mu, t, n)
     if not is_t_core(mu, t):
         raise ValueError(f"{mu.to_text()} is not a {t}-core (hook {offending_hook(mu, t)})")
-    if workers <= 1:
-        return layer_average(g, mu, t, n)
-    pairs = list(layer_walk(mu, t, n))
+    pairs = layer_walk(mu, t, n)
     chunks = [pairs[i::workers] for i in range(workers)]
     jobs = [(chunk, g) for chunk in chunks if chunk]
     try:

@@ -63,7 +63,7 @@ class SuiteReport:
     checks: int = 0
     failures: int = 0
     first_failure: dict | None = None
-    wall_time_s: float = 0.0
+    wall_time_s: float = 0.0  # kept out of to_json_dict, so reports are byte-stable
 
     @property
     def ok(self) -> bool:
@@ -76,7 +76,6 @@ class SuiteReport:
             "checks": self.checks,
             "failures": self.failures,
             "first_failure": self.first_failure,
-            "wall_time_s": round(self.wall_time_s, 3),
         }
 
 

@@ -41,13 +41,6 @@ def multinomial(counts: tuple[int, ...]) -> int:
     return out
 
 
-def geq_t(lam: Partition, mu: Partition, t: int) -> bool:
-    """lam >=_t mu: lam reachable from mu by adding t-hooks, i.e. same
-    t-core and componentwise quotient containment."""
-    dl, dm = decompose(lam, t), decompose(mu, t)
-    return dl.core == dm.core and all(a.contains(b) for a, b in zip(dl.quotients, dm.quotients))
-
-
 @lru_cache(maxsize=None)
 def F_skew(lam: Partition, mu: Partition, t: int) -> int:
     """Number of maximal t-hook addition chains from mu up to lam:
@@ -101,16 +94,20 @@ def enumerate_layer_above(mu: Partition, t: int, n: int) -> Iterator[Partition]:
         yield recompose(dm.core, quots, t)
 
 
-def layer_walk(mu: Partition, t: int, n: int) -> Iterator[tuple[Partition, int]]:
+@lru_cache(maxsize=None)
+def layer_walk(mu: Partition, t: int, n: int) -> tuple[tuple[Partition, int], ...]:
     """(lam, F_skew(lam, mu, t)) over enumerate_layer_above(mu, t, n), with F
     taken from the quotient tuples the walk generates: the multinomial of
     the composition times f of each quotient over mu's.  Above a t-core
-    every inner quotient is empty and f is the hook formula."""
+    every inner quotient is empty and f is the hook formula.  Cached, so
+    every statistic and check over a layer shares one build of it."""
+    pairs = []
     for dm, comp, quots in _quotient_walk(mu, t, n):
         F = multinomial(comp)
         for q, inner in zip(quots, dm.quotients):
             F *= f_skew(q, inner) if inner else f_lambda(q)
-        yield recompose(dm.core, quots, t), F
+        pairs.append((recompose(dm.core, quots, t), F))
+    return tuple(pairs)
 
 
 def _quotient_walk(mu: Partition, t: int, n: int) -> Iterator[tuple]:

@@ -184,3 +184,19 @@ def test_empty_range_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "empty range" in err
+
+
+def test_repeated_stat_key_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "average", "--t", "2", "--n", "0..1", "--stat", "hook:j=0,pow=2,pow=4",
+    )
+    assert code == 2
+    assert out == ""
+    assert "repeated statistic key 'pow'" in err
+
+
+def test_verify_json_is_byte_stable(capsys):
+    _, first, _ = run_cli(capsys, "verify", "fundamental", "--format", "json")
+    _, second, _ = run_cli(capsys, "verify", "fundamental", "--format", "json")
+    assert first == second
+    assert "wall_time" not in first

@@ -126,6 +126,13 @@ def test_stat_spec_validation_and_text():
         StatSpec.parse("hook:j=0,pow=2,bogus=1", default_t=2)
 
 
+def test_stat_spec_rejects_repeated_keys():
+    for text in ("hook:j=0,pow=2,pow=4", "hook:t=2,j=0,t=3,pow=2", "content:j=1,j=1,pow=2",
+                 "hook:j=1,pow=2,paired,paired"):
+        with pytest.raises(ValueError, match="repeated statistic key"):
+            StatSpec.parse(text, default_t=2)
+
+
 def test_stat_eval_examples():
     lam = Partition((2,))
     assert stat_eval(lam, StatSpec("hook", 2, 0, 2, paired=True)) == 8

@@ -1,22 +1,30 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from tcores import operators
+from tcores.boundary import BoundarySequence
 from tcores.corners import StatSpec
-from tcores.littlewood import decompose, t_core
+from tcores.littlewood import decompose, is_t_core, t_core
 from tcores.operators import (
     PartitionStatistic,
+    _check_path_recursion,
     apply_Dt,
     apply_Dt_power,
     certify_polynomiality,
     covers,
     forward_differences,
+    layer_average,
     layer_sum,
     plancherel_average,
 )
 from tcores.partitions import Partition, enumerate_partitions
+from tcores.suites import _mixed_statistics, _standard_statistics
+from tcores.weights import G_lambda, layer_walk
 
 EMPTY = Partition()
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -242,3 +250,116 @@ print(sum(1 for o in gc.get_objects() if isinstance(o, type) and o.__name__ == "
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 2
+
+
+def _covers_window(lam, t):
+    """Oracle: every (0, 1) -> (1, 0) swap at distance t in the boundary
+    window, the boundary-word form of adding one t-hook."""
+    seq = BoundarySequence.from_partition(lam)
+    out = []
+    for i in range(seq.lo - t, seq.hi + 1):
+        if seq.value(i) == 0 and seq.value(i + t) == 1:
+            lo = min(seq.lo, i)
+            hi = max(seq.hi, i + t)
+            bits = [seq.value(p) for p in range(lo, hi + 1)]
+            bits[i - lo] = 1
+            bits[i + t - lo] = 0
+            out.append(BoundarySequence(lo, bits).to_partition())
+    return tuple(sorted(out))
+
+
+def test_abacus_covers_match_boundary_window():
+    pairs = 0
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for t in range(1, 7):
+                assert covers(lam, t) == _covers_window(lam, t)
+                pairs += 1
+    assert pairs == 3048
+
+
+# The non-empty cores of the suites' grids; each is used at the t where it is a t-core.
+SUITE_CORES = [Partition(p) for p in ((1,), (2,), (2, 1), (3, 1), (5, 3, 1, 1))]
+
+
+def _suite_layers():
+    for t in range(1, 5):
+        for mu in [EMPTY] + [mu for mu in SUITE_CORES if is_t_core(mu, t)]:
+            for n in range(6):
+                yield t, mu, n
+
+
+def test_integer_measure_matches_generic_layer_sum():
+    # F^2 / (n! t^n) with integer sums against the generic sum of F * g(lam)
+    for t, mu, n in _suite_layers():
+        stats = _standard_statistics(t) + (_mixed_statistics(t) if t >= 2 else [])
+        for g in stats:
+            assert plancherel_average(g, mu, t, n) == layer_average(g, mu, t, n), (t, mu, n, g.label())
+
+
+def test_F_times_G_is_F_squared_over_layer_norm():
+    for t, mu, n in _suite_layers():
+        for lam, F in layer_walk(mu, t, n):
+            assert F * G_lambda(lam, t) == Fraction(F * F, factorial(n) * t**n)
+
+
+@pytest.fixture
+def fresh_path_checks():
+    _check_path_recursion.cache_clear()
+    yield
+    _check_path_recursion.cache_clear()
+
+
+def test_path_recursion_holds_on_suite_layers(fresh_path_checks):
+    for t, mu, n in _suite_layers():
+        assert _check_path_recursion(mu, t, n) is None
+
+
+def test_path_recursion_catches_a_dropped_cover(fresh_path_checks, monkeypatch):
+    real = operators.covers
+    # (2, 2) is reached at t=2 from both (2) and (1, 1), so dropping it from
+    # (2) leaves the cover sets whole and only breaks the F sum; (2, 1, 1)
+    # is reached from (2) alone, so dropping it loses it from the covers.
+    for victim, dropped in (((2,), (2, 2)), ((2,), (2, 1, 1))):
+        monkeypatch.setattr(
+            operators, "covers",
+            lambda lam, t, victim=Partition(victim), dropped=Partition(dropped): tuple(
+                nu for nu in real(lam, t) if lam != victim or nu != dropped
+            ),
+        )
+        with pytest.raises(RuntimeError, match="path recursion"):
+            _check_path_recursion(EMPTY, 2, 1)
+        _check_path_recursion.cache_clear()
+
+
+def test_path_recursion_catches_an_F_off_by_one(fresh_path_checks, monkeypatch):
+    real = operators.layer_walk
+
+    def off_by_one(mu, t, n):
+        pairs = real(mu, t, n)
+        if n != 2:
+            return pairs
+        (lam, F), rest = pairs[0], pairs[1:]
+        return ((lam, F + 1),) + rest
+
+    monkeypatch.setattr(operators, "layer_walk", off_by_one)
+    with pytest.raises(RuntimeError, match="path recursion"):
+        _check_path_recursion(EMPTY, 2, 1)
+
+
+def test_path_recursion_checks_the_F_squared_normalization(fresh_path_checks, monkeypatch):
+    # Doubling every F keeps F(nu) = sum of F(lam) over lower covers, so only
+    # the sum of F^2 can catch it.
+    real = operators.layer_walk
+    monkeypatch.setattr(
+        operators, "layer_walk", lambda mu, t, n: tuple((lam, 2 * F) for lam, F in real(mu, t, n))
+    )
+    with pytest.raises(RuntimeError, match="F\\^2"):
+        _check_path_recursion(EMPTY, 3, 2)
+
+
+def test_certify_runs_the_path_recursion_check(fresh_path_checks, monkeypatch):
+    real = operators.covers
+    monkeypatch.setattr(operators, "covers", lambda lam, t: real(lam, t)[1:])
+    with pytest.raises(RuntimeError, match="path recursion"):
+        certify_polynomiality(PartitionStatistic(2), EMPTY, 2, 0)

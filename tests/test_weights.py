@@ -15,13 +15,19 @@ from tcores.weights import (
     enumerate_layer_above,
     f_lambda,
     f_skew,
-    geq_t,
     hook_product,
     layer_walk,
     multinomial,
 )
 
 EMPTY = Partition()
+
+
+def geq_t(lam, mu, t):
+    """lam >=_t mu: lam reachable from mu by adding t-hooks, i.e. same
+    t-core and componentwise quotient containment."""
+    dl, dm = decompose(lam, t), decompose(mu, t)
+    return dl.core == dm.core and all(a.contains(b) for a, b in zip(dl.quotients, dm.quotients))
 
 
 def test_f_examples():
