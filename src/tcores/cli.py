@@ -45,15 +45,11 @@ def _parse_stat_column(text: str, t: int, weight_all: bool) -> tuple[StatSpec, b
     """One --stat value; a bare G token turns on the weight for the column."""
     head, _, body = text.partition(":")
     tokens = [tok.strip() for tok in body.split(",") if tok.strip()]
-    weighted = weight_all
-    kept = []
-    for tok in tokens:
-        if tok == "G":
-            weighted = True
-        else:
-            kept.append(tok)
+    kept = [tok for tok in tokens if tok != "G"]
+    if len(tokens) - len(kept) > 1:
+        raise ValueError(f"repeated statistic key 'G' in {text!r}")
     spec = StatSpec.parse(f"{head}:{','.join(kept)}", default_t=t)
-    return spec, weighted
+    return spec, weight_all or len(kept) < len(tokens)
 
 
 def _emit(obj) -> None:

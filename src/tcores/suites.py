@@ -39,6 +39,7 @@ from .operators import (
     apply_Dt,
     apply_Dt_power,
     certify_polynomiality,
+    layer_average,
     layer_sum,
     plancherel_average,
 )
@@ -232,7 +233,7 @@ def operators_suite(
     for t, mu in unit_grid:
         g = PartitionStatistic(t)
         for n in range(n_max + 1):
-            rec.check("sum F*G=1", plancherel_average(g, mu, t, n), 1, t=t, mu=mu, n=n)
+            rec.check("sum F*G=1", layer_average(g, mu, t, n), 1, t=t, mu=mu, n=n)
 
     for t in ts:
         for n in range(eq11_n + 1):

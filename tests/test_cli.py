@@ -195,6 +195,15 @@ def test_repeated_stat_key_is_usage_error(capsys):
     assert "repeated statistic key 'pow'" in err
 
 
+def test_repeated_weight_token_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "average", "--t", "2", "--n", "1", "--stat", "hook:j=0,pow=2,G,G",
+    )
+    assert code == 2
+    assert out == ""
+    assert "repeated statistic key 'G'" in err
+
+
 def test_verify_json_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "verify", "fundamental", "--format", "json")
     _, second, _ = run_cli(capsys, "verify", "fundamental", "--format", "json")

@@ -23,7 +23,7 @@ from tcores.operators import (
     plancherel_average,
 )
 from tcores.partitions import Partition, enumerate_partitions
-from tcores.suites import _mixed_statistics, _standard_statistics
+from tcores.suites import _mixed_statistics, _standard_statistics, operators_suite
 from tcores.weights import G_lambda, layer_walk
 
 EMPTY = Partition()
@@ -302,6 +302,14 @@ def test_F_times_G_is_F_squared_over_layer_norm():
         for lam, F in layer_walk(mu, t, n):
             assert F * G_lambda(lam, t) == Fraction(F * F, factorial(n) * t**n)
 
+
+
+def test_unit_normalization_check_reads_G(monkeypatch):
+    # The operators suite's "sum F*G=1" compares G, from the hooks, with F,
+    # from the quotients; the F^2 measure never evaluates G and would miss this.
+    monkeypatch.setattr(operators, "G_lambda", lambda lam, t: 2 * G_lambda(lam, t))
+    rep = operators_suite(dG_size=1, dG_ts=(2,), n_max=1, ts=(2,), eq11_n=0)
+    assert rep.first_failure["check"] == "sum F*G=1"
 
 @pytest.fixture
 def fresh_path_checks():
