@@ -12,6 +12,7 @@ byte-deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -39,6 +40,14 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(a), int(b)
     n = int(text)
     return n, n
+
+
+def _parse_n_max(text: str) -> int:
+    """A verify layer range: the suites sweep every layer from 0."""
+    lo, hi = _parse_range(text)
+    if lo != 0:
+        raise ValueError(f"layer range {text!r} must start at 0")
+    return hi
 
 
 def _parse_stat_column(text: str, t: int, weight_all: bool) -> tuple[StatSpec, bool]:
@@ -79,17 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
         help='statistic column, e.g. "hook:j=0,pow=2,G" or "content:t=3,j=2,pow=1,paired"',
     )
     p.add_argument("--weight-g", action="store_true", help="weight every column by G")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers for layer sums")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--max-size", type=int, help="largest partition size swept")
     p.add_argument("--t", help="moduli, e.g. 1..5 or 2,3")
-    p.add_argument("--n", help="layer range, e.g. 0..4")
+    p.add_argument("--n", help="layer range from 0, e.g. 0..4")
     p.add_argument("--samples", type=int, help="randomized checks (per-partition suite)")
     p.add_argument("--seed", type=int, help="seed for randomized checks")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers for layer sums")
     p.add_argument("--format", choices=("json", "tsv"), default="json",
                    help="full report (json) or one summary row (tsv)")
     return parser
@@ -122,7 +129,7 @@ def cmd_average(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
     rows = []
     for n in range(n_lo, n_hi + 1):
-        rows.append((n, [str(layer_sum(g, core, args.t, n, args.workers)) for g in stats]))
+        rows.append((n, [str(layer_sum(g, core, args.t, n)) for g in stats]))
     if args.format == "tsv":
         print("\t".join(["n"] + labels))
         for n, cells in rows:
@@ -137,40 +144,28 @@ def cmd_average(args) -> int:
     return 0
 
 
+# verify flag (argparse dest) -> (suite parameter, value parser)
+_VERIFY_FLAGS = {
+    "max_size": ("max_size", int),
+    "t": ("ts", _parse_int_set),
+    "n": ("n_max", _parse_n_max),
+    "samples": ("samples", int),
+    "seed": ("seed", int),
+}
+
+
 def cmd_verify(args) -> int:
+    suite = SUITES[args.suite]
+    params = inspect.signature(suite).parameters
     kwargs = {}
-    if args.suite == "bijection":
-        if args.max_size is not None:
-            kwargs["max_size"] = args.max_size
-        if args.t:
-            kwargs["ts"] = _parse_int_set(args.t)
-    elif args.suite == "fundamental":
-        if args.max_size is not None:
-            kwargs["max_size"] = args.max_size
-    elif args.suite == "per-partition":
-        if args.max_size is not None:
-            kwargs["max_size"] = args.max_size
-        if args.t:
-            kwargs["ts"] = _parse_int_set(args.t)
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    elif args.suite == "averages":
-        if args.t:
-            kwargs["ts"] = _parse_int_set(args.t)
-        if args.n:
-            kwargs["n_max"] = _parse_range(args.n)[1]
-        kwargs["workers"] = args.workers
-    elif args.suite == "operators":
-        if args.t:
-            kwargs["ts"] = _parse_int_set(args.t)
-        if args.n:
-            kwargs["n_max"] = _parse_range(args.n)[1]
-    elif args.suite == "polynomiality":
-        if args.t:
-            kwargs["ts"] = _parse_int_set(args.t)
-    report = SUITES[args.suite](**kwargs)
+    for dest, (param, parse) in _VERIFY_FLAGS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if param not in params:
+            raise ValueError(f"verify {args.suite} takes no --{dest.replace('_', '-')}")
+        kwargs[param] = parse(value)
+    report = suite(**kwargs)
     if args.format == "tsv":
         print("suite\tchecks\tfailures")
         print(f"{report.suite}\t{report.checks}\t{report.failures}")

@@ -179,35 +179,17 @@ def hook_delta_power(dec: LittlewoodDecomposition, i: int, c: int, k: int, power
     if not 0 <= k < dec.t:
         raise ValueError(f"residue {k} out of range for modulus {dec.t}")
     _require_inner_corner(dec.quotients[i], c)
-    t, b = dec.t, dec.offsets.b
+    t = dec.t
     if k == 0:
         return t**power + _own_class_delta(dec.quotients[i], c, t, power)
-    total = 0
-    for other in ((i + k) % t, (i - k) % t):
-        cd = corners(dec.quotients[other])
-        base = t * c + b[i] - b[other]
-        total += sum((base - t * x) ** power for x in cd.x)
-        total -= sum((base - t * y) ** power for y in cd.y)
-    return total
+    return sum(_cross_class_delta(dec, i, other, c, power) for other in ((i + k) % t, (i - k) % t))
 
 
 def hook_delta_power_total(dec: LittlewoodDecomposition, i: int, c: int, power: int) -> int:
     """Change of the full hook power sum sum(h^power) under the same box
     addition; the residue-0 and paired contributions combined."""
-    if power < 0 or power % 2:
-        raise ValueError(f"power must be even and non-negative, got {power}")
-    _require_inner_corner(dec.quotients[i], c)
-    t, b = dec.t, dec.offsets.b
-    total = t**power
-    for j in range(t):
-        if j == i:
-            total += _own_class_delta(dec.quotients[i], c, t, power)
-            continue
-        cd = corners(dec.quotients[j])
-        base = t * c + b[i] - b[j]
-        total += sum((base - t * x) ** power for x in cd.x)
-        total -= sum((base - t * y) ** power for y in cd.y)
-    return total
+    own = hook_delta_power(dec, i, c, 0, power)  # validates power and the corner
+    return own + sum(_cross_class_delta(dec, i, j, c, power) for j in range(dec.t) if j != i)
 
 
 def _own_class_delta(quotient: Partition, c: int, t: int, power: int) -> int:
@@ -218,3 +200,11 @@ def _own_class_delta(quotient: Partition, c: int, t: int, power: int) -> int:
     return sum((t * (c - x)) ** power for x in cd.x if x != c) - sum(
         (t * (c - y)) ** power for y in cd.y
     )
+
+
+def _cross_class_delta(dec: LittlewoodDecomposition, i: int, j: int, c: int, power: int) -> int:
+    # Hooks gained between the new box of quotient i and the corners of
+    # quotient j: sum (base - t x)^power over inner x minus over outer y.
+    t, cd = dec.t, corners(dec.quotients[j])
+    base = t * c + dec.offsets.b[i] - dec.offsets.b[j]
+    return sum((base - t * x) ** power for x in cd.x) - sum((base - t * y) ** power for y in cd.y)

@@ -52,22 +52,18 @@ def apply_Dt(g: Statistic, lam: Partition, t: int):
     return sum(g(c) for c in covers(lam, t)) - g(lam)
 
 
-def layer_average(g: Statistic, mu: Partition, t: int, n: int):
-    """Walk-weighted sum of g over the layer n t-hooks above mu (mu arbitrary)."""
-    return sum(F * g(lam) for lam, F in layer_walk(mu, t, n))
-
-
-def plancherel_average(g: Statistic, mu: Partition, t: int, n: int):
+def layer_sum(g: Statistic, mu: Partition, t: int, n: int):
     """Exact t-weighted average of g over {lam : core(lam) = mu, |lam/mu| = nt}.
 
     Above a t-core F = n! t^n G, so for a G-weighted product statistic the
-    measure F*G is F^2 / (n! t^n): integer sums and one division."""
+    measure F*G is F^2 / (n! t^n): integer sums and one division.  Any other
+    callable takes the generic sum of F*g(lam) over the layer walk."""
     if not is_t_core(mu, t):
         raise ValueError(f"{mu.to_text()} is not a {t}-core (hook {offending_hook(mu, t)})")
     if isinstance(g, PartitionStatistic) and g.weight and g.t == t:
         total = sum(F * F * g.unweighted(lam) for lam, F in layer_walk(mu, t, n))
         return Fraction(total, factorial(n) * t**n)
-    return layer_average(g, mu, t, n)
+    return sum(F * g(lam) for lam, F in layer_walk(mu, t, n))
 
 
 def apply_Dt_power(g: Statistic, mu: Partition, t: int, r: int):
@@ -87,7 +83,11 @@ def apply_Dt_power(g: Statistic, mu: Partition, t: int, r: int):
         return memo[key]
 
     direct = rec(mu, r)
-    transform = sum((-1) ** (r + k) * comb(r, k) * layer_average(g, mu, t, k) for k in range(r + 1))
+    # mu need not be a t-core here, so the transform takes the generic sum
+    transform = sum(
+        (-1) ** (r + k) * comb(r, k) * sum(F * g(lam) for lam, F in layer_walk(mu, t, k))
+        for k in range(r + 1)
+    )
     if direct != transform:
         raise RuntimeError(
             f"difference-operator power mismatch at {mu.to_text()} (t={t}, r={r}): "
@@ -100,7 +100,7 @@ def apply_Dt_power(g: Statistic, mu: Partition, t: int, r: int):
 class PartitionStatistic:
     """A weighted product statistic: optionally the weight G, times
     residue-filtered power-sum factors, times corner power sums on the
-    quotients.  Frozen so it can cross process boundaries for worker pools."""
+    quotients.  Frozen: a statistic is a value, compared and hashed by its fields."""
 
     t: int
     weight: bool = True
@@ -208,7 +208,7 @@ def certify_polynomiality(
     if safety < 1:
         raise ValueError(f"safety margin must be positive, got {safety}")
     m = degree_bound + safety
-    values = [plancherel_average(g, mu, t, n) for n in range(m + 1)]
+    values = [layer_sum(g, mu, t, n) for n in range(m + 1)]
     for n in range(m):
         _check_path_recursion(mu, t, n)
     diffs = forward_differences(values)
@@ -240,31 +240,3 @@ def _check_path_recursion(mu: Partition, t: int, n: int) -> None:
         raise RuntimeError(f"path recursion fails between layers {where}")
     if sum(F * F for F in upper.values()) != factorial(n + 1) * t ** (n + 1):
         raise RuntimeError(f"sum of F^2 over layer n+1 is not (n+1)! t^(n+1) at {where}")
-
-
-def layer_sum(g: Statistic, mu: Partition, t: int, n: int, workers: int = 1):
-    """plancherel_average, optionally split across worker processes.
-
-    Workers own interleaved slices of the layer; exact rational addition is
-    associative and commutative, so the result is independent of N.
-    """
-    if workers <= 1:
-        return plancherel_average(g, mu, t, n)
-    if not is_t_core(mu, t):
-        raise ValueError(f"{mu.to_text()} is not a {t}-core (hook {offending_hook(mu, t)})")
-    pairs = layer_walk(mu, t, n)
-    chunks = [pairs[i::workers] for i in range(workers)]
-    jobs = [(chunk, g) for chunk in chunks if chunk]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(jobs) or 1) as pool:
-            partials = list(pool.map(_chunk_sum, jobs))
-    except (OSError, PermissionError):
-        partials = [_chunk_sum(job) for job in jobs]
-    return sum(partials, Fraction(0))
-
-
-def _chunk_sum(job):
-    pairs, g = job
-    return sum((F * g(lam) for lam, F in pairs), Fraction(0))

@@ -108,13 +108,6 @@ def test_average_deterministic_bytes(capsys):
     assert first == second
 
 
-def test_average_workers_do_not_change_output(capsys):
-    base = ("average", "--core", "-", "--t", "2", "--n", "0..3", "--stat", "hook:j=0,pow=2,G")
-    _, seq, _ = run_cli(capsys, *base, "--workers", "1")
-    _, par, _ = run_cli(capsys, *base, "--workers", "4")
-    assert seq == par
-
-
 def test_verify_success_and_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "bijection", "--max-size", "8", "--t", "1..3")
     assert code == 0
@@ -209,3 +202,48 @@ def test_verify_json_is_byte_stable(capsys):
     _, second, _ = run_cli(capsys, "verify", "fundamental", "--format", "json")
     assert first == second
     assert "wall_time" not in first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["average", "--t", "2", "--n", "0..2", "--stat", "hook:j=0,pow=2", "--workers", "2"],
+        ["verify", "averages", "--workers", "2"],
+    ],
+)
+def test_workers_flag_is_gone(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "polynomiality", "--n", "0..4"], "--n"),
+        (["verify", "fundamental", "--t", "2"], "--t"),
+        (["verify", "operators", "--max-size", "4"], "--max-size"),
+        (["verify", "averages", "--samples", "3"], "--samples"),
+        (["verify", "bijection", "--seed", "1"], "--seed"),
+    ],
+)
+def test_verify_flag_the_suite_does_not_take_is_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"takes no {flag}" in err
+
+
+@pytest.mark.parametrize("layers", ["2..4", "1..1", "3"])
+def test_verify_layer_range_must_start_at_0(capsys, layers):
+    code, out, err = run_cli(capsys, "verify", "averages", "--n", layers)
+    assert code == 2
+    assert out == ""
+    assert "must start at 0" in err
+
+
+def test_verify_flags_reach_the_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "averages", "--t", "2", "--n", "0..1")
+    assert code == 0
+    assert json.loads(out)["grid"] == {"t": [2], "n_max": 1}

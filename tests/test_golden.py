@@ -26,7 +26,7 @@ COMMANDS = {
     "decompose-t5": "decompose 10,10,5,1 --t 5",
     "average-t1-empty-tsv": "average --t 1 --n 0..6 --stat hook:j=0,pow=2 --stat content:j=0,pow=2,G",
     "average-t1-empty-json": "average --t 1 --n 0..6 --stat hook:j=0,pow=2 --stat content:j=0,pow=2,G --format json",
-    "average-t2-empty-workers-tsv": "average --t 2 --n 0..4 --stat hook:j=0,pow=2 --stat content:j=1,pow=1 --workers 2",
+    "average-t2-empty-workers-tsv": "average --t 2 --n 0..4 --stat hook:j=0,pow=2 --stat content:j=1,pow=1",
     "average-t2-core-tsv": "average --core 1 --t 2 --n 0..5 --stat hook:j=1,pow=2,paired --stat content:j=0,pow=2 --weight-g",
     "average-t2-core-json": "average --core 1 --t 2 --n 0..5 --stat hook:j=1,pow=2,paired --stat content:j=0,pow=2 --weight-g --format json",
     "average-t3-empty-json": "average --t 3 --n 0..3 --stat content:j=1,pow=2,G --stat hook:j=1,pow=4,paired --format json",
