@@ -24,11 +24,21 @@ from .suites import SUITE_NAMES, SUITES
 
 
 def _parse_int_set(text: str) -> tuple[int, ...]:
-    """Moduli sets: '1..5' or '2,3' or '4'."""
+    """Moduli sets: '1..5' or '2,3' or '4'; a repeated modulus is an error."""
     if ".." in text:
         lo, hi = _parse_range(text)
         return tuple(range(lo, hi + 1))
-    return tuple(int(tok) for tok in text.split(","))
+    values = tuple(int(tok) for tok in text.split(","))
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated modulus in {text!r}")
+    return values
+
+
+def _parse_count(value: int) -> int:
+    """A size bound or a sample count: a negative one would sweep nothing."""
+    if value < 0:
+        raise ValueError(f"count must be non-negative, got {value}")
+    return value
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -146,10 +156,10 @@ def cmd_average(args) -> int:
 
 # verify flag (argparse dest) -> (suite parameter, value parser)
 _VERIFY_FLAGS = {
-    "max_size": ("max_size", int),
+    "max_size": ("max_size", _parse_count),
     "t": ("ts", _parse_int_set),
     "n": ("n_max", _parse_n_max),
-    "samples": ("samples", int),
+    "samples": ("samples", _parse_count),
     "seed": ("seed", int),
 }
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
 from .boundary import BoundarySequence
 from .littlewood import LittlewoodDecomposition
-from .partitions import Partition, contents, hook_lengths
+from .partitions import Partition, hook_lengths
 
 
 class CornerData(NamedTuple):
@@ -148,13 +149,17 @@ class StatSpec:
         return cls(kind, t, residue, power, paired)
 
 
-@lru_cache(maxsize=None)
 def stat_eval(lam: Partition, spec: StatSpec) -> int:
-    values = hook_lengths(lam) if spec.kind == "hook" else contents(lam)
-    residues = [spec.residue]
-    if spec.paired:
-        residues.append((spec.t - spec.residue) % spec.t)
-    return sum(v**spec.power for r in residues for v in values if v % spec.t == r)
+    t, power = spec.t, spec.power
+    classes = {spec.residue, (t - spec.residue) % t} if spec.paired else {spec.residue}
+    if spec.kind == "hook":
+        total = sum(h**power for h in hook_lengths(lam) if h % t in classes)
+    else:
+        # Row i (from 0) has class r at the columns j = (r + i) mod t, then
+        # every t-th one; their contents are j - i.
+        total = sum(sum(map(pow, range((r + i) % t - i, row - i, t), repeat(power)))
+                    for r in classes for i, row in enumerate(lam.parts))
+    return 2 * total if spec.paired and len(classes) == 1 else total
 
 
 def content_delta(dec: LittlewoodDecomposition, i: int, c: int) -> list[int]:

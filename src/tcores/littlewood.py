@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import takewhile
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .boundary import BoundarySequence, partition_from_word
@@ -87,7 +87,6 @@ def core_offsets(mu: Partition, t: int) -> CoreOffsets:
     return CoreOffsets(t, tuple(b), d)
 
 
-@lru_cache(maxsize=None)
 def recompose(core: Partition, quotients: tuple[Partition, ...], t: int) -> Partition:
     """Inverse of (t_core, t_quotients): interleave the runners of the
     t-abacus.  Quotient i's beads q_k - k sit on runner i shifted by d_i, at
@@ -97,13 +96,18 @@ def recompose(core: Partition, quotients: tuple[Partition, ...], t: int) -> Part
     if len(quotients) != t:
         raise ValueError(f"need exactly {t} quotients, got {len(quotients)}")
     d = core_offsets(core, t).d
-    m = max(len(q) - d[i] for i, q in enumerate(quotients))
+    m = max(len(q.parts) - d[i] for i, q in enumerate(quotients))
     beads = []
     for i, q in enumerate(quotients):
-        parts = q.parts + (0,) * (m + d[i] - len(q))
-        beads.extend(t * (p - k + d[i]) + i for k, p in enumerate(parts, start=1))
+        shift, ps = t * d[i] + i, q.parts
+        beads += [t * (p - k) + shift for k, p in enumerate(ps, start=1)]
+        # the empty parts k = len(q) + 1 .. m + d_i
+        beads += range(shift - t * (len(ps) + 1), shift - t * (m + d[i] + 1), -t)
     beads.sort(reverse=True)
-    return Partition(takewhile(bool, (b + j for j, b in enumerate(beads, start=1))))
+    parts = list(map(add, beads, range(1, len(beads) + 1)))
+    while parts and not parts[-1]:
+        parts.pop()
+    return Partition(parts)
 
 
 @dataclass(frozen=True)

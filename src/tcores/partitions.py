@@ -9,7 +9,10 @@ they can serve as brute-force oracles for it.
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
+from operator import add, lt
 from typing import Iterable, Iterator, NamedTuple
+
+_EXACT_INT = {int}
 
 
 @total_ordering
@@ -20,25 +23,27 @@ class Partition:
     (size first, then lexicographic on parts) so that enumerations,
     reports, and cover sets come out in a reproducible order.  Trailing
     zeros are stripped on construction; any other non-positive entry or
-    increasing adjacent pair is rejected.
+    increasing adjacent pair is rejected.  The hash of the parts is taken
+    once, here: partitions key every cache and layer dictionary.
     """
 
-    __slots__ = ("parts", "size")
+    __slots__ = ("parts", "size", "_hash")
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(parts)
-        for p in ps:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise TypeError(f"partition parts must be integers, got {p!r}")
+        if not set(map(type, ps)) <= _EXACT_INT:  # else int subclasses but bool still pass
+            for p in ps:
+                if not isinstance(p, int) or isinstance(p, bool):
+                    raise TypeError(f"partition parts must be integers, got {p!r}")
         while ps and ps[-1] == 0:
             ps = ps[:-1]
-        for a, b in zip(ps, ps[1:]):
-            if a < b:
-                raise ValueError(f"not weakly decreasing: {ps}")
+        if any(map(lt, ps, ps[1:])):
+            raise ValueError(f"not weakly decreasing: {ps}")
         if ps and ps[-1] <= 0:
             raise ValueError(f"parts must be positive: {ps}")
         self.parts = ps
         self.size = sum(ps)
+        self._hash = hash(ps)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -96,13 +101,13 @@ class Partition:
         raise ValueError(f"no addable cell of content {content} in {self.to_text()}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
+        return self is other or (isinstance(other, Partition) and self.parts == other.parts)
 
     def __lt__(self, other) -> bool:
         return (self.size, self.parts) < (other.size, other.parts)
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -152,12 +157,18 @@ def cell_stats(lam: Partition) -> list[CellStat]:
 
 @lru_cache(maxsize=None)
 def hook_lengths(lam: Partition) -> tuple[int, ...]:
-    """Row-major hook lengths, arm + leg + 1 from the conjugate's column heights."""
-    cols = lam.conjugate().parts
-    return tuple(row - j + cols[j] - i for i, row in enumerate(lam.parts, start=1) for j in range(row))
+    """Row-major hook lengths, arm + leg + 1.  Laying rows 1, 2, ... over
+    their first lam_i columns leaves each column holding its height, the
+    last row that reached it; cell (i, j), j from 0, has hook
+    (lam_i - j) + (height_j - i)."""
+    cols, out = [], []
+    for i, row in enumerate(lam.parts, start=1):
+        cols[:row] = [i] * row  # the first row extends the empty list
+    for i, row in enumerate(lam.parts, start=1):
+        out.extend(map(add, cols[:row], range(row - i, -i, -1)))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def contents(lam: Partition) -> tuple[int, ...]:
     """Row-major contents (col - row, signed)."""
     return tuple(j - i for i, row in enumerate(lam.parts) for j in range(row))

@@ -60,7 +60,8 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return self.failures == 0
+        """No failures, and at least one check: a suite that swept nothing proved nothing."""
+        return self.failures == 0 and self.checks > 0
 
     def to_json_dict(self) -> dict:
         return {

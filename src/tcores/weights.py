@@ -5,19 +5,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import product
+from math import factorial, prod
 from typing import Iterator
 
 from .littlewood import decompose, is_t_core, offending_hook, recompose
 from .partitions import Partition, enumerate_partitions, hook_lengths, syt_count_oracle
 
 
-@lru_cache(maxsize=None)
 def hook_product(lam: Partition) -> int:
-    out = 1
-    for h in hook_lengths(lam):
-        out *= h
-    return out
+    return prod(hook_lengths(lam))
 
 
 @lru_cache(maxsize=None)
@@ -69,11 +66,7 @@ def G_lambda(lam: Partition, t: int) -> Fraction:
     """
     if t < 1:
         raise ValueError(f"modulus must be positive, got {t}")
-    out = 1
-    for h in hook_lengths(lam):
-        if h % t == 0:
-            out *= h
-    return Fraction(1, out)
+    return Fraction(1, prod(h for h in hook_lengths(lam) if h % t == 0))
 
 
 def enumerate_layer(mu: Partition, t: int, n: int) -> Iterator[Partition]:
@@ -85,39 +78,37 @@ def enumerate_layer(mu: Partition, t: int, n: int) -> Iterator[Partition]:
     """
     if not is_t_core(mu, t):
         raise ValueError(f"{mu.to_text()} is not a {t}-core (hook {offending_hook(mu, t)})")
-    yield from enumerate_layer_above(mu, t, n)
-
-
-def enumerate_layer_above(mu: Partition, t: int, n: int) -> Iterator[Partition]:
-    """All lam >=_t mu with |lam/mu| = n*t, for arbitrary mu."""
-    for dm, _, quots in _quotient_walk(mu, t, n):
-        yield recompose(dm.core, quots, t)
+    for dm, _, tuples in _quotient_walk(mu, t, n):
+        for quots in tuples:
+            yield recompose(dm.core, quots, t)
 
 
 @lru_cache(maxsize=None)
 def layer_walk(mu: Partition, t: int, n: int) -> tuple[tuple[Partition, int], ...]:
-    """(lam, F_skew(lam, mu, t)) over enumerate_layer_above(mu, t, n), with F
-    taken from the quotient tuples the walk generates: the multinomial of
-    the composition times f of each quotient over mu's.  Above a t-core
-    every inner quotient is empty and f is the hook formula.  Cached, so
-    every statistic and check over a layer shares one build of it."""
+    """(lam, F_skew(lam, mu, t)) for every lam >=_t mu with |lam/mu| = n*t,
+    in enumerate_layer's order, for arbitrary mu.  F is taken from the
+    quotient tuples the walk generates: the multinomial of the composition
+    times f of each quotient over mu's.  Above a t-core every inner quotient
+    is empty and f is the hook formula.  Cached, so every statistic and
+    check over a layer shares one build of it."""
     pairs = []
-    for dm, comp, quots in _quotient_walk(mu, t, n):
-        F = multinomial(comp)
-        for q, inner in zip(quots, dm.quotients):
-            F *= f_skew(q, inner) if inner else f_lambda(q)
-        pairs.append((recompose(dm.core, quots, t), F))
+    for dm, comp, tuples in _quotient_walk(mu, t, n):
+        core, inners, M = dm.core, dm.quotients, multinomial(comp)
+        for quots in tuples:
+            F = M
+            for q, inner in zip(quots, inners):
+                F *= f_skew(q, inner) if inner else f_lambda(q)
+            pairs.append((recompose(core, quots, t), F))
     return tuple(pairs)
 
 
 def _quotient_walk(mu: Partition, t: int, n: int) -> Iterator[tuple]:
-    """(decompose(mu, t), composition, quotient tuple) for every lam above mu."""
+    """(decompose(mu, t), composition, its quotient tuples) per composition of n."""
     if n < 0:
         raise ValueError(f"layer index must be non-negative, got {n}")
     dm = decompose(mu, t)
     for comp in _compositions(n, t):
-        for quots in _super_tuples(dm.quotients, comp, 0):
-            yield dm, comp, quots
+        yield dm, comp, product(*map(superpartitions, dm.quotients, comp))
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -127,17 +118,6 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for first in range(n, -1, -1):
         for rest in _compositions(n - first, k - 1):
             yield (first,) + rest
-
-
-def _super_tuples(
-    inners: tuple[Partition, ...], comp: tuple[int, ...], i: int
-) -> Iterator[tuple[Partition, ...]]:
-    if i == len(inners):
-        yield ()
-        return
-    for head in superpartitions(inners[i], comp[i]):
-        for tail in _super_tuples(inners, comp, i + 1):
-            yield (head,) + tail
 
 
 @lru_cache(maxsize=None)

@@ -91,3 +91,9 @@ def test_criterion_7_increment_formulas():
 def test_criterion_8_polynomiality_certificates():
     rep = polynomiality_suite(ts=(2, 3), classic_window=8, q_weight=4, q_lam_size=6)
     _finish(8, "polynomiality certificates (10 mixed stats, q-bound, t=1 classics)", rep)
+
+
+def test_suite_that_ran_no_checks_fails():
+    for rep in (bijection_suite(max_size=-1), averages_suite(ts=())):
+        assert (rep.checks, rep.failures) == (0, 0)
+        assert not rep.ok

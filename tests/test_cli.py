@@ -247,3 +247,18 @@ def test_verify_flags_reach_the_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "averages", "--t", "2", "--n", "0..1")
     assert code == 0
     assert json.loads(out)["grid"] == {"t": [2], "n_max": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "bijection", "--t", "2,2,2"], "repeated modulus"),
+        (["verify", "per-partition", "--samples", "-3"], "non-negative"),
+        (["verify", "bijection", "--max-size", "-1"], "non-negative"),
+    ],
+)
+def test_repeated_or_negative_verify_flag_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
