@@ -24,13 +24,16 @@ from .suites import SUITE_NAMES, SUITES
 
 
 def _parse_int_set(text: str) -> tuple[int, ...]:
-    """Moduli sets: '1..5' or '2,3' or '4'; a repeated modulus is an error."""
+    """Moduli sets: '1..5' or '2,3' or '4'; each positive, none repeated."""
     if ".." in text:
         lo, hi = _parse_range(text)
-        return tuple(range(lo, hi + 1))
-    values = tuple(int(tok) for tok in text.split(","))
+        values = tuple(range(lo, hi + 1))
+    else:
+        values = tuple(int(tok) for tok in text.split(","))
     if len(set(values)) < len(values):
         raise ValueError(f"repeated modulus in {text!r}")
+    if min(values) < 1:
+        raise ValueError(f"modulus must be positive, got {min(values)}")
     return values
 
 

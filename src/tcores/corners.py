@@ -10,7 +10,6 @@ from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
-from .boundary import BoundarySequence
 from .littlewood import LittlewoodDecomposition
 from .partitions import Partition, hook_lengths
 
@@ -22,13 +21,12 @@ class CornerData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def corners(lam: Partition) -> CornerData:
-    """Corner contents read off the boundary word.
+    """Corner contents: the addable and removable cells' contents.
 
     Always one more inner corner than outer, strictly interleaved
     x_0 < y_1 < x_1 < ... < x_m.
     """
-    inner, outer = BoundarySequence.from_partition(lam).corner_contents()
-    return CornerData(inner, outer)
+    return CornerData(lam.addable_contents(), lam.removable_contents())
 
 
 def q_k(lam: Partition, k: int):

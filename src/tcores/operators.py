@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Sequence
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 from .corners import StatSpec, q_tuple, stat_eval
 from .littlewood import is_t_core, offending_hook, t_quotients
@@ -32,19 +33,26 @@ Statistic = "Callable[[Partition], Fraction | int]"
 
 @lru_cache(maxsize=None)
 def covers(lam: Partition, t: int) -> tuple[Partition, ...]:
-    """All partitions one t-hook above lam, on the abacus: of the beads
-    lam_j - j (parts padded with t zeros), every bead p with a gap at p + t
-    moves there, and lam_j = beta_j + j.  Sorted, hence deterministic."""
+    """All partitions one t-hook above lam, sorted, hence deterministic: the
+    cached Partition view of `_cover_parts`, read by the difference operator."""
+    return tuple(sorted(map(Partition, _cover_parts(lam.parts, t))))
+
+
+def _cover_parts(parts: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition one t-hook above `parts`, on the abacus:
+    of the beads lam_j - j (parts padded with t zeros), every bead p with a
+    gap at p + t moves there, and lam_j = beta_j + j.  Unsorted and uncached."""
     if t < 1:
         raise ValueError(f"modulus must be positive, got {t}")
-    beads = [p - j for j, p in enumerate(lam.parts + (0,) * t, start=1)]
+    beads = [p - j for j, p in enumerate(parts + (0,) * t, start=1)]
     occupied = set(beads)
-    out = []
     for k, p in enumerate(beads):
         if p + t not in occupied:
             moved = sorted(beads[:k] + [p + t] + beads[k + 1 :], reverse=True)
-            out.append(Partition(b + j for j, b in enumerate(moved, start=1)))
-    return tuple(sorted(out))
+            out = list(map(add, moved, range(1, len(moved) + 1)))
+            while not out[-1]:
+                out.pop()
+            yield tuple(out)
 
 
 def apply_Dt(g: Statistic, lam: Partition, t: int):
@@ -229,12 +237,13 @@ def certify_polynomiality(
 def _check_path_recursion(mu: Partition, t: int, n: int) -> None:
     """Raise unless the covers of layer n are exactly layer n+1, with
     F(nu) = sum of F(lam) over its lower covers lam, and the sum of F^2 over
-    layer n+1 is (n+1)! t^(n+1), the normalization of the F^2 measure."""
-    reached: dict[Partition, int] = {}
+    layer n+1 is (n+1)! t^(n+1), the normalization of the F^2 measure.  It
+    walks the parts tuples of `_cover_parts`, so it fills no `covers` cache."""
+    reached: dict[tuple[int, ...], int] = {}
     for lam, F in layer_walk(mu, t, n):
-        for nu in covers(lam, t):
-            reached[nu] = reached.get(nu, 0) + F
-    upper = dict(layer_walk(mu, t, n + 1))
+        for parts in _cover_parts(lam.parts, t):
+            reached[parts] = reached.get(parts, 0) + F
+    upper = {lam.parts: F for lam, F in layer_walk(mu, t, n + 1)}
     where = f"n={n} (t={t}, core={mu.to_text()})"
     if reached != upper:
         raise RuntimeError(f"path recursion fails between layers {where}")

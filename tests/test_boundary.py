@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from tcores.boundary import BoundarySequence, partition_from_word
+from tcores.corners import corners
 from tcores.partitions import Partition, cell_stats, enumerate_partitions, hook_lengths
 
 EMPTY = Partition()
@@ -80,6 +81,16 @@ def test_corners_interleave():
             assert len(inner) == len(outer) + 1
             merged = [v for pair in zip(inner, outer) for v in pair] + [inner[-1]]
             assert all(a < b for a, b in zip(merged, merged[1:]))
+
+
+def test_corners_match_boundary_reading():
+    # the boundary word's corner reading is the oracle for `corners`
+    count = 0
+    for n in range(16):
+        for lam in enumerate_partitions(n):
+            assert corners(lam) == BoundarySequence.from_partition(lam).corner_contents()
+            count += 1
+    assert count == 684
 
 
 def test_content_reading():

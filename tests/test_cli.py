@@ -262,3 +262,11 @@ def test_repeated_or_negative_verify_flag_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("moduli", ["0", "-1", "0..2", "2,0"])
+def test_modulus_below_one_is_usage_error(capsys, moduli):
+    code, out, err = run_cli(capsys, "verify", "per-partition", "--t", moduli)
+    assert code == 2
+    assert out == ""
+    assert "modulus must be positive" in err

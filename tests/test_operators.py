@@ -316,15 +316,15 @@ def test_path_recursion_holds_on_suite_layers(fresh_path_checks):
 
 
 def test_path_recursion_catches_a_dropped_cover(fresh_path_checks, monkeypatch):
-    real = operators.covers
+    real = operators._cover_parts
     # (2, 2) is reached at t=2 from both (2) and (1, 1), so dropping it from
     # (2) leaves the cover sets whole and only breaks the F sum; (2, 1, 1)
     # is reached from (2) alone, so dropping it loses it from the covers.
     for victim, dropped in (((2,), (2, 2)), ((2,), (2, 1, 1))):
         monkeypatch.setattr(
-            operators, "covers",
-            lambda lam, t, victim=Partition(victim), dropped=Partition(dropped): tuple(
-                nu for nu in real(lam, t) if lam != victim or nu != dropped
+            operators, "_cover_parts",
+            lambda parts, t, victim=victim, dropped=dropped: (
+                nu for nu in real(parts, t) if parts != victim or nu != dropped
             ),
         )
         with pytest.raises(RuntimeError, match="path recursion"):
@@ -359,7 +359,25 @@ def test_path_recursion_checks_the_F_squared_normalization(fresh_path_checks, mo
 
 
 def test_certify_runs_the_path_recursion_check(fresh_path_checks, monkeypatch):
-    real = operators.covers
-    monkeypatch.setattr(operators, "covers", lambda lam, t: real(lam, t)[1:])
+    # drops the first of each partition's covers in `covers`' sorted order
+    real = operators._cover_parts
+    monkeypatch.setattr(
+        operators, "_cover_parts", lambda parts, t: sorted(real(parts, t), key=Partition)[1:]
+    )
     with pytest.raises(RuntimeError, match="path recursion"):
         certify_polynomiality(PartitionStatistic(2), EMPTY, 2, 0)
+
+
+def test_path_recursion_leaves_no_covers_in_the_cache(fresh_path_checks):
+    covers.cache_clear()
+    for n in range(8):
+        _check_path_recursion(EMPTY, 3, n)
+    assert covers.cache_info().currsize == 0
+
+
+def test_covers_are_the_sorted_cover_parts():
+    for n in range(11):
+        for lam in enumerate_partitions(n):
+            for t in range(1, 5):
+                parts = operators._cover_parts(lam.parts, t)
+                assert covers(lam, t) == tuple(sorted(map(Partition, parts)))
