@@ -1,79 +1,25 @@
 """Exact combinatorics of partition cores, quotients, hook statistics, and
 their walk-weighted layer averages, with mechanical verification suites."""
 
-from .boundary import BoundarySequence, partition_from_word
-from .corners import (
-    CornerData,
-    StatSpec,
-    content_delta,
-    corners,
-    hook_delta_power,
-    hook_delta_power_total,
-    q_increment,
-    q_k,
-    q_partition,
-    q_tuple,
-    stat_eval,
-)
+from .corners import StatSpec, content_delta, corners, hook_delta_power, q_increment, q_k, stat_eval
 from .littlewood import (
-    CoreOffsets,
-    IdentityCheck,
     LittlewoodDecomposition,
-    bk_identities,
-    bk_pairs,
     core_offsets,
     decompose,
-    gbinom2,
     is_t_core,
     recompose,
-    residue_hook_count,
     t_core,
     t_quotients,
 )
-from .operators import (
-    DifferenceTable,
-    PartitionStatistic,
-    apply_Dt,
-    apply_Dt_power,
-    certify_polynomiality,
-    covers,
-    forward_differences,
-    layer_sum,
-)
-from .partitions import (
-    CellStat,
-    Partition,
-    cell_stats,
-    contents,
-    enumerate_partitions,
-    hook_lengths,
-    hook_multiset_mod,
-    syt_count_oracle,
-)
+from .operators import PartitionStatistic, apply_Dt, apply_Dt_power, certify_polynomiality, covers, layer_sum
+from .partitions import Partition, contents, enumerate_partitions, hook_lengths
 from .suites import SUITES, SuiteReport
-from .weights import (
-    F_lambda,
-    F_skew,
-    G_lambda,
-    enumerate_layer,
-    f_lambda,
-    f_skew,
-    hook_product,
-    multinomial,
-)
+from .weights import G_lambda, f_lambda, layer_walk
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySequence",
-    "CellStat",
-    "CoreOffsets",
-    "CornerData",
-    "DifferenceTable",
-    "F_lambda",
-    "F_skew",
     "G_lambda",
-    "IdentityCheck",
     "LittlewoodDecomposition",
     "Partition",
     "PartitionStatistic",
@@ -82,9 +28,6 @@ __all__ = [
     "SuiteReport",
     "apply_Dt",
     "apply_Dt_power",
-    "bk_identities",
-    "bk_pairs",
-    "cell_stats",
     "certify_polynomiality",
     "content_delta",
     "contents",
@@ -92,29 +35,17 @@ __all__ = [
     "corners",
     "covers",
     "decompose",
-    "enumerate_layer",
     "enumerate_partitions",
     "f_lambda",
-    "f_skew",
-    "forward_differences",
-    "gbinom2",
     "hook_delta_power",
-    "hook_delta_power_total",
     "hook_lengths",
-    "hook_multiset_mod",
-    "hook_product",
     "is_t_core",
     "layer_sum",
-    "multinomial",
-    "partition_from_word",
+    "layer_walk",
     "q_increment",
     "q_k",
-    "q_partition",
-    "q_tuple",
     "recompose",
-    "residue_hook_count",
     "stat_eval",
-    "syt_count_oracle",
     "t_core",
     "t_quotients",
 ]

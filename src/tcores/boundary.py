@@ -99,36 +99,6 @@ class BoundarySequence:
     def to_partition(self) -> Partition:
         return partition_from_word(self.bits)
 
-    def inversion_pairs(self) -> list[tuple[int, int]]:
-        """All (i, j) with i < j, z_i = 1, z_j = 0.
-
-        There is one pair per cell of the partition and the hook length of
-        that cell is j - i, which makes this an independent hook oracle.
-        """
-        ones: list[int] = []
-        pairs: list[tuple[int, int]] = []
-        for p in range(self.lo, self.hi + 1):
-            if self.bits[p - self.lo]:
-                ones.append(p)
-            else:
-                pairs.extend((i, p) for i in ones)
-        return pairs
-
-    def corner_contents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(inner, outer) corner contents, both ascending.
-
-        An inner (addable) corner of content k shows up as the descent
-        (z_{k-1}, z_k) = (0, 1); an outer (removable) corner as (1, 0).
-        """
-        inner, outer = [], []
-        for k in range(self.lo, self.hi + 2):
-            pair = (self.value(k - 1), self.value(k))
-            if pair == (0, 1):
-                inner.append(k)
-            elif pair == (1, 0):
-                outer.append(k)
-        return tuple(inner), tuple(outer)
-
     def residue_class_bits(self, t: int, i: int) -> tuple[int, tuple[int, ...]]:
         """The subsequence (z_{t*j + i})_j over the window it needs.
 
@@ -138,12 +108,6 @@ class BoundarySequence:
         j_lo = -((i - self.lo) // t)
         j_hi = (self.hi - i) // t
         return j_lo, tuple(self.value(t * j + i) for j in range(j_lo, j_hi + 1))
-
-    def render(self) -> str:
-        """Figure-style rendering with the '|' between indices -1 and 0."""
-        left = "".join(str(self.value(i)) for i in range(min(self.lo, 0), 0))
-        right = "".join(str(self.value(i)) for i in range(0, self.hi + 1))
-        return f"⋯0{left}|{right}1⋯"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BoundarySequence) and (self.lo, self.bits) == (other.lo, other.bits)

@@ -15,6 +15,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import asdict
 
 from .corners import StatSpec
 from .littlewood import decompose, is_t_core, offending_hook
@@ -183,7 +184,7 @@ def cmd_verify(args) -> int:
         print("suite\tchecks\tfailures")
         print(f"{report.suite}\t{report.checks}\t{report.failures}")
     else:
-        _emit(report.to_json_dict())
+        _emit(asdict(report))
     return 0 if report.ok else 1
 
 

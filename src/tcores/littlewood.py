@@ -18,7 +18,6 @@ global word: z_{lam^i, j} = z_{lam, j*t + b_i} whenever lam has core mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Iterable, NamedTuple
@@ -157,65 +156,3 @@ def bk_pairs(t: int, k: int) -> list[tuple[int, int]]:
     if not 1 <= k <= t - 1:
         raise ValueError(f"k must be in 1..{t - 1}, got {k}")
     return [(i, i + k) for i in range(t - k)] + [(i, i + t - k) for i in range(k)]
-
-
-def gbinom2(x: int) -> int:
-    """x(x-1)/2, the choose-2 polynomial extended to every integer."""
-    return x * (x - 1) // 2
-
-
-class IdentityCheck(NamedTuple):
-    name: str
-    lhs: object
-    rhs: object
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def bk_identities(mu: Partition, t: int) -> list[IdentityCheck]:
-    """Evaluate both sides of the B_k square identity, the three offset
-    identities, and the three expressions for |mu|, for a t-core mu."""
-    off = core_offsets(mu, t)
-    b, d = off.b, off.d
-    checks = []
-    for k in range(1, t):
-        pairs = bk_pairs(t, k)
-        checks.append(IdentityCheck(
-            f"Bk1[k={k}]",
-            sum((j - i) ** 2 for i, j in pairs),
-            t * k * (t - k),
-        ))
-        checks.append(IdentityCheck(
-            f"Bk2[k={k}]",
-            sum((2 * j - 2 * i) * (d[i] - d[j]) for i, j in pairs),
-            t * sum(d[i] - d[j] for i, j in pairs),
-        ))
-    upper = [(i, j) for i in range(t) for j in range(i + 1, t)]
-    checks.append(IdentityCheck(
-        "Bk3",
-        t * sum(x * x for x in d),
-        sum((d[i] - d[j]) ** 2 for i, j in upper),
-    ))
-    checks.append(IdentityCheck(
-        "Bk4",
-        -2 * sum(i * d[i] for i in range(t)),
-        sum(d[i] - d[j] for i, j in upper),
-    ))
-    checks.append(IdentityCheck(
-        "size[pairs]",
-        mu.size,
-        sum(gbinom2(d[i] - d[j]) for i, j in upper),
-    ))
-    checks.append(IdentityCheck(
-        "size[quadratic]",
-        Fraction(mu.size),
-        Fraction(t, 2) * sum(x * x for x in d) + sum(i * d[i] for i in range(t)),
-    ))
-    checks.append(IdentityCheck(
-        "size[offsets]",
-        Fraction(mu.size),
-        Fraction(1, 2 * t * t) * sum((b[i] - b[j]) ** 2 - (i - j) ** 2 for i, j in upper),
-    ))
-    return checks

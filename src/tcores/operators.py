@@ -167,12 +167,12 @@ class DifferenceTable:
     """Exact layer averages P(0..m) with their forward differences and a
     window-polynomiality verdict.
 
-    `certified` means every difference of order degree+1 vanishes on the
-    sampled window [0, m]; globality beyond the window is the operator
-    theory's contribution, not the table's, which is why the window is
-    recorded explicitly.  `empirical_degree` is the largest order with a
-    non-vanishing difference row, i.e. the apparent degree on the window, with
-    no claim of theoretical minimality.
+    The verdict "certified" means every difference of order degree+1
+    vanishes on the sampled window [0, len(values) - 1]; globality beyond
+    the window is the operator theory's contribution, not the table's.
+    `empirical_degree` is the largest order with a non-vanishing difference
+    row, i.e. the apparent degree on the window, with no claim of
+    theoretical minimality.
     """
 
     values: list
@@ -181,23 +181,6 @@ class DifferenceTable:
     verdict: str
     witness: int | None
     empirical_degree: int
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified"
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "values": [str(v) for v in self.values],
-            "diffs": [[str(v) for v in row] for row in self.diffs],
-            "degree": self.degree,
-            "verdict": self.verdict,
-            "window": [0, len(self.values) - 1],
-            "empirical_degree": self.empirical_degree,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def certify_polynomiality(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 from operator import add, lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 _EXACT_INT = {int}
 
@@ -127,32 +127,8 @@ class Partition:
     def __str__(self) -> str:
         return self.to_text()
 
-    def __reduce__(self):
-        return (Partition, (self.parts,))
-
 
 EMPTY = Partition()
-
-
-class CellStat(NamedTuple):
-    row: int
-    col: int
-    hook: int
-    content: int
-
-
-def cell_stats(lam: Partition) -> list[CellStat]:
-    """Hook length and content of every cell, row-major.
-
-    Hooks come from conjugate column counts, O(cells) overall:
-    hook = arm + leg + 1 = (row length - col) + (col height - row) + 1.
-    """
-    conj = lam.conjugate().parts
-    out = []
-    for i, row_len in enumerate(lam.parts, start=1):
-        for j in range(1, row_len + 1):
-            out.append(CellStat(i, j, (row_len - j) + (conj[j - 1] - i) + 1, j - i))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .partitions import (
     hook_multiset_mod,
     syt_count_oracle,
 )
-from .weights import G_lambda, _compositions, enumerate_layer, f_lambda, multinomial
+from .weights import G_lambda, _compositions, f_lambda, layer_walk, multinomial
 
 EMPTY = Partition()
 SUITE_NAMES = ("bijection", "fundamental", "per-partition", "averages", "operators", "polynomiality")
@@ -51,50 +50,32 @@ SUITE_NAMES = ("bijection", "fundamental", "per-partition", "averages", "operato
 
 @dataclass
 class SuiteReport:
+    """What a suite checked: its grid, the check count, the failure count,
+    and the first failing check with its inputs and both sides."""
+
     suite: str
     grid: dict
     checks: int = 0
     failures: int = 0
     first_failure: dict | None = None
-    wall_time_s: float = 0.0  # kept out of to_json_dict, so reports are byte-stable
 
     @property
     def ok(self) -> bool:
         """No failures, and at least one check: a suite that swept nothing proved nothing."""
         return self.failures == 0 and self.checks > 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": self.grid,
-            "checks": self.checks,
-            "failures": self.failures,
-            "first_failure": self.first_failure,
-        }
-
-
-class _Recorder:
-    def __init__(self, suite: str, grid: dict):
-        self.report = SuiteReport(suite, grid)
-        self._t0 = time.perf_counter()
-
-    def check(self, name: str, lhs, rhs, **inputs) -> bool:
-        self.report.checks += 1
+    def check(self, name: str, lhs, rhs, **inputs) -> None:
+        """Count one exact comparison lhs == rhs, and record it if it is the first to fail."""
+        self.checks += 1
         if lhs != rhs:
-            self.report.failures += 1
-            if self.report.first_failure is None:
-                self.report.first_failure = {
+            self.failures += 1
+            if self.first_failure is None:
+                self.first_failure = {
                     "check": name,
                     "inputs": {k: str(v) for k, v in inputs.items()},
                     "lhs": str(lhs),
                     "rhs": str(rhs),
                 }
-            return False
-        return True
-
-    def done(self) -> SuiteReport:
-        self.report.wall_time_s = time.perf_counter() - self._t0
-        return self.report
 
 
 def _all_partitions_up_to(max_size: int):
@@ -112,12 +93,12 @@ def _t_cores_up_to(t: int, max_size: int) -> list[Partition]:
 def bijection_suite(max_size: int = 20, ts: tuple[int, ...] = (1, 2, 3, 4, 5)) -> SuiteReport:
     """Decomposition round trip, size identity, and the hook-division
     multiset identity, for every partition up to max_size and every t."""
-    rec = _Recorder("bijection", {"max_size": max_size, "t": list(ts)})
+    rep = SuiteReport("bijection", {"max_size": max_size, "t": list(ts)})
     for t in ts:
         for lam in _all_partitions_up_to(max_size):
             dec = decompose(lam, t)
-            rec.check("roundtrip", dec.partition(), lam, t=t, lam=lam)
-            rec.check(
+            rep.check("roundtrip", dec.partition(), lam, t=t, lam=lam)
+            rep.check(
                 "size",
                 lam.size,
                 dec.core.size + t * sum(dec.quotient_sizes),
@@ -126,8 +107,8 @@ def bijection_suite(max_size: int = 20, ts: tuple[int, ...] = (1, 2, 3, 4, 5)) -
             )
             divided = sorted(h // t for h in hook_lengths(lam) if h % t == 0)
             pooled = sorted(h for q in dec.quotients for h in hook_lengths(q))
-            rec.check("hook-division", divided, pooled, t=t, lam=lam)
-    return rec.done()
+            rep.check("hook-division", divided, pooled, t=t, lam=lam)
+    return rep
 
 
 # -------------------------------------------------------------- fundamental
@@ -136,12 +117,12 @@ def bijection_suite(max_size: int = 20, ts: tuple[int, ...] = (1, 2, 3, 4, 5)) -
 def fundamental_suite(max_size: int = 12, square_max: int = 8) -> SuiteReport:
     """The worked examples pinned to exact values, the hook-length formula
     against the exhaustive tableau count, and the squared-count identity."""
-    rec = _Recorder("fundamental", {"max_size": max_size, "square_max": square_max})
+    rep = SuiteReport("fundamental", {"max_size": max_size, "square_max": square_max})
 
     lam = Partition((18, 7, 6))
     dec = decompose(lam, 3)
-    rec.check("example/core", dec.core, Partition((3, 1)), lam=lam, t=3)
-    rec.check(
+    rep.check("example/core", dec.core, Partition((3, 1)), lam=lam, t=3)
+    rep.check(
         "example/quotients",
         dec.quotients,
         (Partition((2,)), EMPTY, Partition((5, 2))),
@@ -150,30 +131,30 @@ def fundamental_suite(max_size: int = 12, square_max: int = 8) -> SuiteReport:
     )
 
     lam = Partition((6, 3, 2, 2))
-    rec.check(
+    rep.check(
         "example/hooks",
         list(hook_lengths(lam)),
         [9, 8, 5, 3, 2, 1, 5, 4, 1, 3, 2, 2, 1],
         lam=lam,
     )
-    rec.check("example/7-core", hook_multiset_mod(lam, 7, {0}), [], lam=lam)
+    rep.check("example/7-core", hook_multiset_mod(lam, 7, {0}), [], lam=lam)
     cd = corners(lam)
-    rec.check("example/corners", (cd.x, cd.y), ((-4, 0, 2, 6), (-2, 1, 5)), lam=lam)
-    rec.check("example/q1", q_k(lam, 1), 0, lam=lam)
-    rec.check("example/q2", q_k(lam, 2), 2 * lam.size, lam=lam)
+    rep.check("example/corners", (cd.x, cd.y), ((-4, 0, 2, 6), (-2, 1, 5)), lam=lam)
+    rep.check("example/q1", q_k(lam, 1), 0, lam=lam)
+    rep.check("example/q2", q_k(lam, 2), 2 * lam.size, lam=lam)
 
     mu = Partition((5, 3, 1, 1))
     off = core_offsets(mu, 3)
-    rec.check("example/b", off.b, (0, 7, -4), mu=mu, t=3)
-    rec.check("example/d", off.d, (0, 2, -2), mu=mu, t=3)
-    rec.check("example/sum-d", sum(off.d), 0, mu=mu, t=3)
+    rep.check("example/b", off.b, (0, 7, -4), mu=mu, t=3)
+    rep.check("example/d", off.d, (0, 2, -2), mu=mu, t=3)
+    rep.check("example/sum-d", sum(off.d), 0, mu=mu, t=3)
 
     for lam in _all_partitions_up_to(max_size):
-        rec.check("hook-formula", f_lambda(lam), syt_count_oracle(lam), lam=lam)
+        rep.check("hook-formula", f_lambda(lam), syt_count_oracle(lam), lam=lam)
     for n in range(square_max + 1):
         total = sum(f_lambda(lam) ** 2 for lam in enumerate_partitions(n))
-        rec.check("sum-f-squared", total, factorial(n), n=n)
-    return rec.done()
+        rep.check("sum-f-squared", total, factorial(n), n=n)
+    return rep
 
 
 # ---------------------------------------------------------------- operators
@@ -212,7 +193,7 @@ def operators_suite(
 ) -> SuiteReport:
     """Vanishing of D on the weight G, the unit normalization of the layer
     averages, the multinomial identity, and the binomial-transform pair."""
-    rec = _Recorder(
+    rep = SuiteReport(
         "operators",
         {"dG_size": dG_size, "dG_t": list(dG_ts), "n_max": n_max, "t": list(ts), "eq11_n": eq11_n},
     )
@@ -220,7 +201,7 @@ def operators_suite(
     for t in dG_ts:
         g = PartitionStatistic(t)
         for lam in _all_partitions_up_to(dG_size):
-            rec.check("D(G)=0", apply_Dt(g, lam, t), 0, t=t, lam=lam)
+            rep.check("D(G)=0", apply_Dt(g, lam, t), 0, t=t, lam=lam)
 
     unit_grid = _core_grid(ts, {2: ((1,), (2, 1)), 3: ((1,), (3, 1))})
     for t, mu in unit_grid:
@@ -228,7 +209,7 @@ def operators_suite(
         for n in range(n_max + 1):
             # g.__call__ is no PartitionStatistic, so the generic sum reads G
             # from the hooks against F from the quotients
-            rec.check("sum F*G=1", layer_sum(g.__call__, mu, t, n), 1, t=t, mu=mu, n=n)
+            rep.check("sum F*G=1", layer_sum(g.__call__, mu, t, n), 1, t=t, mu=mu, n=n)
 
     for t in ts:
         for n in range(eq11_n + 1):
@@ -240,7 +221,7 @@ def operators_suite(
                     for q in quots:
                         term *= Fraction(f_lambda(q) ** 2, factorial(q.size))
                     total += term
-            rec.check("multinomial=t^n", total, t**n, t=t, n=n)
+            rep.check("multinomial=t^n", total, t**n, t=t, n=n)
 
     transform_grid = _core_grid(ts, {2: ((1,),), 3: ((5, 3, 1, 1),)})
     for t, mu in transform_grid:
@@ -249,7 +230,7 @@ def operators_suite(
             dvals = [apply_Dt_power(g, mu, t, k) for k in range(n_max + 1)]
             pvals = [layer_sum(g, mu, t, n) for n in range(n_max + 1)]
             for n in range(n_max + 1):
-                rec.check(
+                rep.check(
                     "binomial-transform",
                     pvals[n],
                     sum(comb(n, k) * dvals[k] for k in range(n + 1)),
@@ -260,8 +241,8 @@ def operators_suite(
                 )
             for n in range(n_max):
                 step = layer_sum(lambda lam: apply_Dt(g, lam, t), mu, t, n)
-                rec.check("telescoping", pvals[n + 1] - pvals[n], step, t=t, mu=mu, n=n, g=g.label())
-    return rec.done()
+                rep.check("telescoping", pvals[n + 1] - pvals[n], step, t=t, mu=mu, n=n, g=g.label())
+    return rep
 
 
 # ------------------------------------------------------------ per-partition
@@ -283,7 +264,7 @@ def per_partition_suite(
 ) -> SuiteReport:
     """Per-partition square identities (empty core and general core) plus
     randomized single-box increment checks against direct recomputation."""
-    rec = _Recorder(
+    rep = SuiteReport(
         "per-partition",
         {
             "max_size": max_size,
@@ -294,34 +275,34 @@ def per_partition_suite(
             "seed": seed,
         },
     )
-    _square_identity_checks(rec, max_size, ts, layer_n)
-    _increment_checks(rec, samples, sample_ts, seed)
-    return rec.done()
+    _square_identity_checks(rep, max_size, ts, layer_n)
+    _increment_checks(rep, samples, sample_ts, seed)
+    return rep
 
 
-def _square_identity_checks(rec: _Recorder, max_size: int, ts: tuple[int, ...], layer_n: int) -> None:
+def _square_identity_checks(rep: SuiteReport, max_size: int, ts: tuple[int, ...], layer_n: int) -> None:
     for t in ts:
         for n in range(max_size // t + 1):
-            for lam in enumerate_layer(EMPTY, t, n):
+            for lam, _ in layer_walk(EMPTY, t, n):
                 sizes = decompose(lam, t).quotient_sizes
                 for k in range(t):
                     rhs = 2 * t * t * (
                         sum(sizes[i] * sizes[i + k] for i in range(t - k))
                         + sum(sizes[i] * sizes[i + t - k] for i in range(k))
                     )
-                    rec.check("square-diff/empty-core", _paired_diff(lam, t, k), rhs, t=t, k=k, lam=lam)
+                    rep.check("square-diff/empty-core", _paired_diff(lam, t, k), rhs, t=t, k=k, lam=lam)
 
     for lam in _all_partitions_up_to(max_size):
         lhs = sum(h * h for h in hook_lengths(lam)) - sum(c * c for c in contents(lam))
-        rec.check("hook2-content2", lhs, lam.size**2, lam=lam)
+        rep.check("hook2-content2", lhs, lam.size**2, lam=lam)
 
     grid = [(t, Partition(core)) for t, core in
-            ((2, (1,)), (3, (1,)), (4, (1,)), (3, (2,)), (4, (2,)), (3, (5, 3, 1, 1)))]
+            ((2, (1,)), (3, (1,)), (4, (1,)), (3, (2,)), (4, (2,)), (3, (5, 3, 1, 1))) if t in ts]
     for t, mu in grid:
         off = core_offsets(mu, t)
         b, d = off.b, off.d
         for n in range(layer_n + 1):
-            for lam in enumerate_layer(mu, t, n):
+            for lam, _ in layer_walk(mu, t, n):
                 dec = decompose(lam, t)
                 sizes = dec.quotient_sizes
                 q3 = [q_k(q, 3) for q in dec.quotients]
@@ -334,7 +315,7 @@ def _square_identity_checks(rec: _Recorder, max_size: int, ts: tuple[int, ...], 
                             + t * (b[i] + i - 2 * b[j]) * d[i] * sizes[j]
                             - Fraction(t * t, 3) * (d[j] * q3[i] + d[i] * q3[j])
                         )
-                    rec.check("square-diff/core", Fraction(_paired_diff(lam, t, k)), rhs,
+                    rep.check("square-diff/core", Fraction(_paired_diff(lam, t, k)), rhs,
                               t=t, mu=mu, k=k, lam=lam)
                 lhs0 = stat_eval(lam, StatSpec("hook", t, 0, 2)) - stat_eval(
                     lam, StatSpec("content", t, 0, 2)
@@ -343,10 +324,10 @@ def _square_identity_checks(rec: _Recorder, max_size: int, ts: tuple[int, ...], 
                     Fraction(sizes[i] ** 2 - d[i] ** 2 * sizes[i]) - Fraction(d[i] * q3[i], 3)
                     for i in range(t)
                 ) - stat_eval(mu, StatSpec("content", t, 0, 2))
-                rec.check("square-diff/divisible", Fraction(lhs0), rhs0, t=t, mu=mu, lam=lam)
+                rep.check("square-diff/divisible", Fraction(lhs0), rhs0, t=t, mu=mu, lam=lam)
 
 
-def _increment_checks(rec: _Recorder, samples: int, sample_ts: tuple[int, ...], seed: int) -> None:
+def _increment_checks(rep: SuiteReport, samples: int, sample_ts: tuple[int, ...], seed: int) -> None:
     rng = random.Random(seed)
     pool = list(_all_partitions_up_to(3))
     cores = {t: _t_cores_up_to(t, 5) for t in sample_ts}
@@ -363,7 +344,7 @@ def _increment_checks(rec: _Recorder, samples: int, sample_ts: tuple[int, ...], 
         lam_plus = recompose(mu, grown, t)
 
         delta = content_delta(dec, i, c)
-        rec.check(
+        rep.check(
             "content-delta",
             Counter(contents(lam)) + Counter(delta),
             Counter(contents(lam_plus)),
@@ -372,14 +353,14 @@ def _increment_checks(rec: _Recorder, samples: int, sample_ts: tuple[int, ...], 
         for k in range(t):
             for power in (0, 2, 4):
                 spec = StatSpec("hook", t, k, power, paired=k != 0)
-                rec.check(
+                rep.check(
                     "hook-delta",
                     hook_delta_power(dec, i, c, k, power),
                     stat_eval(lam_plus, spec) - stat_eval(lam, spec),
                     t=t, mu=mu, quotient=i, content=c, k=k, power=power,
                 )
         for power in (0, 2, 4):
-            rec.check(
+            rep.check(
                 "hook-delta-total",
                 hook_delta_power_total(dec, i, c, power),
                 sum(h**power for h in hook_lengths(lam_plus))
@@ -407,7 +388,7 @@ class _WeightedPowerSum:
 def averages_suite(ts: tuple[int, ...] = (2, 3), n_max: int = 4) -> SuiteReport:
     """The closed-form layer averages of squared hooks and contents, on the
     fixed core grid, matched exactly."""
-    rec = _Recorder("averages", {"t": list(ts), "n_max": n_max})
+    rep = SuiteReport("averages", {"t": list(ts), "n_max": n_max})
     grid = _core_grid(ts, {2: ((1,),), 3: ((5, 3, 1, 1), (3, 1))})
     for t, mu in grid:
         off = core_offsets(mu, t)
@@ -424,10 +405,10 @@ def averages_suite(ts: tuple[int, ...] = (2, 3), n_max: int = 4) -> SuiteReport:
                        + 4 * t * residue_hook_count(mu, t, t - k)) * n
                     + stat_eval(mu, StatSpec("hook", t, k, 2, paired=True))
                 )
-                rec.check("hook-sq/paired", layer_sum(g, mu, t, n), closed,
+                rep.check("hook-sq/paired", layer_sum(g, mu, t, n), closed,
                           t=t, mu=mu, n=n, k=k)
             g = PartitionStatistic(t, specs=(StatSpec("hook", t, 0, 2),))
-            rec.check("hook-sq/divisible", layer_sum(g, mu, t, n),
+            rep.check("hook-sq/divisible", layer_sum(g, mu, t, n),
                       n * t * t + 3 * t * binom2, t=t, mu=mu, n=n)
             g_all = _WeightedPowerSum(t, "hook", 2)
             closed = (
@@ -435,7 +416,7 @@ def averages_suite(ts: tuple[int, ...] = (2, 3), n_max: int = 4) -> SuiteReport:
                 + Fraction(n * t * (t * t - 3 * t - 1 + 24 * mu.size), 6)
                 + mu_hooks_sq
             )
-            rec.check("hook-sq/all", layer_sum(g_all, mu, t, n), closed, t=t, mu=mu, n=n)
+            rep.check("hook-sq/all", layer_sum(g_all, mu, t, n), closed, t=t, mu=mu, n=n)
             for k in range(t):
                 g = PartitionStatistic(t, specs=(StatSpec("content", t, k, 2),))
                 offset_sq = sum((off.b[i] - ((i - k) % t)) ** 2 for i in range(t))
@@ -445,9 +426,9 @@ def averages_suite(ts: tuple[int, ...] = (2, 3), n_max: int = 4) -> SuiteReport:
                     + stat_eval(mu, StatSpec("content", t, k, 2))
                 )
                 got = layer_sum(g, mu, t, n)
-                rec.check("content-sq/class", got, closed, t=t, mu=mu, n=n, k=k)
+                rep.check("content-sq/class", got, closed, t=t, mu=mu, n=n, k=k)
                 if not mu:
-                    rec.check("content-sq/class-empty", got, t * binom2 + k * (t - k) * n,
+                    rep.check("content-sq/class-empty", got, t * binom2 + k * (t - k) * n,
                               t=t, n=n, k=k)
             g_all = _WeightedPowerSum(t, "content", 2)
             got = layer_sum(g_all, mu, t, n)
@@ -457,11 +438,11 @@ def averages_suite(ts: tuple[int, ...] = (2, 3), n_max: int = 4) -> SuiteReport:
                 + 2 * t * n * mu.size
                 + mu_conts_sq
             )
-            rec.check("content-sq/all", got, closed, t=t, mu=mu, n=n)
+            rep.check("content-sq/all", got, closed, t=t, mu=mu, n=n)
             if not mu:
-                rec.check("content-sq/all-empty", got,
+                rep.check("content-sq/all-empty", got,
                           t * t * binom2 + Fraction((t**3 - t) * n, 6), t=t, n=n)
-    return rec.done()
+    return rep
 
 
 # ------------------------------------------------------------ polynomiality
@@ -496,7 +477,11 @@ def polynomiality_suite(
     """Vanishing forward-difference certificates for mixed product
     statistics, the operator-vanishing bound for pure corner statistics,
     and the classical t = 1 cases."""
-    rec = _Recorder(
+    if min(ts, default=2) < 2:
+        raise ValueError(
+            f"polynomiality needs every t >= 2, got t = {min(ts)}: t = 1 is its classical family"
+        )
+    rep = SuiteReport(
         "polynomiality",
         {"t": list(ts), "classic_window": classic_window, "q_weight": q_weight, "q_lam_size": q_lam_size},
     )
@@ -504,9 +489,9 @@ def polynomiality_suite(
     for t in ts:
         for g in _mixed_statistics(t):
             table = certify_polynomiality(g, EMPTY, t, g.degree_bound())
-            rec.check("mixed/certified", table.verdict, "certified", t=t, g=g.label(),
+            rep.check("mixed/certified", table.verdict, "certified", t=t, g=g.label(),
                       degree=g.degree_bound(), witness=table.witness)
-            rec.check("mixed/degree-within-bound",
+            rep.check("mixed/degree-within-bound",
                       table.empirical_degree <= g.degree_bound(), True, t=t, g=g.label())
 
     for t in ts:
@@ -518,7 +503,7 @@ def polynomiality_suite(
             r = -(-w // 2) + 1
             g = PartitionStatistic(t, q_exponents=exponents)
             for lam in lams:
-                rec.check("q-vanishing", apply_Dt_power(g, lam, t, r), 0,
+                rep.check("q-vanishing", apply_Dt_power(g, lam, t, r), 0,
                           t=t, lam=lam, r=r, g=g.label())
 
     for kind, power in (("content", 1), ("content", 2), ("hook", 2), ("hook", 4)):
@@ -526,9 +511,9 @@ def polynomiality_suite(
         bound = g.degree_bound()
         safety = min(3, classic_window - bound)
         table = certify_polynomiality(g, EMPTY, 1, bound, safety)
-        rec.check("classical/certified", table.verdict, "certified",
+        rep.check("classical/certified", table.verdict, "certified",
                   kind=kind, power=power, degree=bound, witness=table.witness)
-    return rec.done()
+    return rep
 
 
 def _q_exponent_tuples(t: int, max_weight: int) -> list[tuple[Partition, ...]]:

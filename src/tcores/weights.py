@@ -1,5 +1,5 @@
-"""Exact walk counts and weights: f, skew f, the t-hook walk count F, the
-weight G, and enumeration of the layers above a core."""
+"""Exact walk counts and weights: f, the weight G, and the layer walk that
+builds every (lam, F) above a core, with F the t-hook walk count."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterator
 
-from .littlewood import decompose, is_t_core, offending_hook, recompose
+from .littlewood import decompose, recompose
 from .partitions import Partition, enumerate_partitions, hook_lengths, syt_count_oracle
 
 
@@ -26,35 +26,11 @@ def f_lambda(lam: Partition) -> int:
     return q
 
 
-def f_skew(outer: Partition, inner: Partition) -> int:
-    """Skew tableau count, by the memoized corner-removal recursion."""
-    return syt_count_oracle(outer, inner)
-
-
 def multinomial(counts: tuple[int, ...]) -> int:
     out = factorial(sum(counts))
     for c in counts:
         out //= factorial(c)
     return out
-
-
-@lru_cache(maxsize=None)
-def F_skew(lam: Partition, mu: Partition, t: int) -> int:
-    """Number of maximal t-hook addition chains from mu up to lam:
-    multinomial over the quotient size gaps times the skew counts."""
-    dl, dm = decompose(lam, t), decompose(mu, t)
-    if dl.core != dm.core or not all(a.contains(b) for a, b in zip(dl.quotients, dm.quotients)):
-        raise ValueError(f"{lam.to_text()} is not >=_{t} {mu.to_text()}")
-    gaps = tuple(a.size - b.size for a, b in zip(dl.quotients, dm.quotients))
-    out = multinomial(gaps)
-    for a, b in zip(dl.quotients, dm.quotients):
-        out *= f_skew(a, b)
-    return out
-
-
-def F_lambda(lam: Partition, t: int) -> int:
-    """F of lam over its own t-core."""
-    return F_skew(lam, decompose(lam, t).core, t)
 
 
 @lru_cache(maxsize=None)
@@ -69,46 +45,30 @@ def G_lambda(lam: Partition, t: int) -> Fraction:
     return Fraction(1, prod(h for h in hook_lengths(lam) if h % t == 0))
 
 
-def enumerate_layer(mu: Partition, t: int, n: int) -> Iterator[Partition]:
-    """All lam with t-core mu and |lam/mu| = n*t, each exactly once.
-
-    Generated through quotient space: compositions of n (first component
-    largest first), then tuples of partitions of each component in
-    enumeration order, then recomposition.
-    """
-    if not is_t_core(mu, t):
-        raise ValueError(f"{mu.to_text()} is not a {t}-core (hook {offending_hook(mu, t)})")
-    for dm, _, tuples in _quotient_walk(mu, t, n):
-        for quots in tuples:
-            yield recompose(dm.core, quots, t)
-
-
 @lru_cache(maxsize=None)
 def layer_walk(mu: Partition, t: int, n: int) -> tuple[tuple[Partition, int], ...]:
-    """(lam, F_skew(lam, mu, t)) for every lam >=_t mu with |lam/mu| = n*t,
-    in enumerate_layer's order, for arbitrary mu.  F is taken from the
-    quotient tuples the walk generates: the multinomial of the composition
-    times f of each quotient over mu's.  Above a t-core every inner quotient
-    is empty and f is the hook formula.  Cached, so every statistic and
-    check over a layer shares one build of it."""
-    pairs = []
-    for dm, comp, tuples in _quotient_walk(mu, t, n):
-        core, inners, M = dm.core, dm.quotients, multinomial(comp)
-        for quots in tuples:
-            F = M
-            for q, inner in zip(quots, inners):
-                F *= f_skew(q, inner) if inner else f_lambda(q)
-            pairs.append((recompose(core, quots, t), F))
-    return tuple(pairs)
-
-
-def _quotient_walk(mu: Partition, t: int, n: int) -> Iterator[tuple]:
-    """(decompose(mu, t), composition, its quotient tuples) per composition of n."""
+    """(lam, F) for every lam >=_t mu with |lam/mu| = n*t, each exactly once,
+    for arbitrary mu; F counts the maximal t-hook addition chains from mu
+    up to lam.  Generated through quotient space: compositions of n (first
+    component largest first), then tuples of partitions of each component
+    containing mu's quotients, in enumeration order, then recomposition.
+    F is the multinomial of the composition times the skew tableau count
+    of each quotient over mu's; above a t-core every inner quotient is
+    empty and that count is the hook formula.  Cached, so every statistic
+    and check over a layer shares one build of it."""
     if n < 0:
         raise ValueError(f"layer index must be non-negative, got {n}")
     dm = decompose(mu, t)
+    core, inners = dm.core, dm.quotients
+    pairs = []
     for comp in _compositions(n, t):
-        yield dm, comp, product(*map(superpartitions, dm.quotients, comp))
+        M = multinomial(comp)
+        for quots in product(*map(superpartitions, inners, comp)):
+            F = M
+            for q, inner in zip(quots, inners):
+                F *= syt_count_oracle(q, inner) if inner else f_lambda(q)
+            pairs.append((recompose(core, quots, t), F))
+    return tuple(pairs)
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

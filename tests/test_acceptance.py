@@ -6,29 +6,23 @@ authoritative ones; the CLI `verify` command runs the same suites with the
 same defaults.
 """
 
-from tcores.corners import corners, q_k
-from tcores.littlewood import core_offsets, decompose
-from tcores.partitions import Partition, hook_lengths, hook_multiset_mod
+import tcores
 from tcores.suites import (
     SuiteReport,
-    _increment_checks,
-    _Recorder,
-    _square_identity_checks,
     averages_suite,
     bijection_suite,
     fundamental_suite,
     operators_suite,
+    per_partition_suite,
     polynomiality_suite,
 )
-
-EMPTY = Partition()
 
 
 def _finish(num: int, name: str, rep: SuiteReport) -> None:
     status = "PASS" if rep.ok else "FAIL"
     print(
         f"[criterion {num}] {name}: {status} "
-        f"({rep.checks} checks, {rep.failures} failures, {rep.wall_time_s:.1f}s)"
+        f"({rep.checks} checks, {rep.failures} failures)"
     )
     assert rep.ok, rep.first_failure
 
@@ -39,24 +33,9 @@ def test_criterion_1_bijection():
 
 
 def test_criterion_2_running_examples():
-    rec = _Recorder("running-examples", {})
-    dec = decompose(Partition((18, 7, 6)), 3)
-    rec.check("core", dec.core, Partition((3, 1)))
-    rec.check("quotients", dec.quotients, (Partition((2,)), EMPTY, Partition((5, 2))))
-
-    lam = Partition((6, 3, 2, 2))
-    rec.check("hooks", list(hook_lengths(lam)), [9, 8, 5, 3, 2, 1, 5, 4, 1, 3, 2, 2, 1])
-    rec.check("7-core", hook_multiset_mod(lam, 7, {0}), [])
-    rec.check("corners-x", corners(lam).x, (-4, 0, 2, 6))
-    rec.check("corners-y", corners(lam).y, (-2, 1, 5))
-    rec.check("q1", q_k(lam, 1), 0)
-    rec.check("q2", q_k(lam, 2), 26)
-
-    off = core_offsets(Partition((5, 3, 1, 1)), 3)
-    rec.check("b", off.b, (0, 7, -4))
-    rec.check("d", off.d, (0, 2, -2))
-    rec.check("sum-d", sum(off.d), 0)
-    _finish(2, "running examples", rec.done())
+    # the fundamental suite's pinned examples, with its sweeps cut to size 0
+    rep = fundamental_suite(max_size=0, square_max=0)
+    _finish(2, "running examples", rep)
 
 
 def test_criterion_3_hook_formula():
@@ -70,9 +49,8 @@ def test_criterion_4_operator_identities():
 
 
 def test_criterion_5_per_partition_identities():
-    rec = _Recorder("per-partition", {"max_size": 18, "t": [2, 3, 4], "layer_n": 3})
-    _square_identity_checks(rec, max_size=18, ts=(2, 3, 4), layer_n=3)
-    _finish(5, "per-partition square identities (|lam| <= 18, cores (1),(2),(5,3,1,1))", rec.done())
+    rep = per_partition_suite(max_size=18, ts=(2, 3, 4), layer_n=3, samples=0)
+    _finish(5, "per-partition square identities (|lam| <= 18, cores (1),(2),(5,3,1,1))", rep)
 
 
 def test_criterion_6_closed_form_averages():
@@ -81,9 +59,10 @@ def test_criterion_6_closed_form_averages():
 
 
 def test_criterion_7_increment_formulas():
-    rec = _Recorder("increments", {"samples": 300, "t": [1, 2, 3, 4], "seed": 20260808})
-    _increment_checks(rec, samples=300, sample_ts=(1, 2, 3, 4), seed=20260808)
-    rep = rec.done()
+    # the per-partition suite's randomized checks, with its square sweeps cut to size 0
+    rep = per_partition_suite(
+        max_size=0, layer_n=0, samples=300, sample_ts=(1, 2, 3, 4), seed=20260808
+    )
     assert rep.checks >= 300
     _finish(7, "increment formulas vs direct recomputation (300 random additions)", rep)
 
@@ -97,3 +76,16 @@ def test_suite_that_ran_no_checks_fails():
     for rep in (bijection_suite(max_size=-1), averages_suite(ts=())):
         assert (rep.checks, rep.failures) == (0, 0)
         assert not rep.ok
+
+
+def test_public_surface():
+    assert sorted(tcores.__all__) == sorted([
+        "Partition", "enumerate_partitions", "hook_lengths", "contents",
+        "decompose", "recompose", "t_core", "t_quotients", "core_offsets", "is_t_core",
+        "LittlewoodDecomposition", "corners", "q_k", "StatSpec", "stat_eval",
+        "content_delta", "hook_delta_power", "q_increment",
+        "f_lambda", "G_lambda", "layer_walk",
+        "covers", "apply_Dt", "apply_Dt_power", "layer_sum", "PartitionStatistic", "certify_polynomiality",
+        "SUITES", "SuiteReport",
+    ])
+    assert all(hasattr(tcores, name) for name in tcores.__all__)

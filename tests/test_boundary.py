@@ -2,9 +2,11 @@ from collections import Counter
 
 import pytest
 
+from oracles import cell_stats, corner_contents, inversion_pairs, render
+
 from tcores.boundary import BoundarySequence, partition_from_word
 from tcores.corners import corners
-from tcores.partitions import Partition, cell_stats, enumerate_partitions, hook_lengths
+from tcores.partitions import Partition, enumerate_partitions, hook_lengths
 
 EMPTY = Partition()
 
@@ -17,7 +19,7 @@ def test_encode_section4_example():
     s = seq((5, 3, 1, 1))
     # ...001001|1011011...
     assert [s.value(i) for i in range(-6, 6)] == [0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1]
-    assert s.render() == "⋯01001|101101⋯"
+    assert render(s) == "⋯01001|101101⋯"
 
 
 def test_encode_figure_example():
@@ -31,7 +33,7 @@ def test_encode_empty_is_all_implicit():
     s = seq(())
     assert s.bits == ()
     assert s.value(-1) == 0 and s.value(0) == 1
-    assert s.render() == "⋯0|1⋯"
+    assert render(s) == "⋯0|1⋯"
 
 
 def test_decode_validates_balance():
@@ -53,9 +55,9 @@ def test_decode_known_words():
 
 
 def test_inversion_pairs_examples():
-    assert seq(()).inversion_pairs() == []
-    assert seq((1,)).inversion_pairs() == [(-1, 0)]
-    pairs = seq((5, 3, 1, 1)).inversion_pairs()
+    assert inversion_pairs(seq(())) == []
+    assert inversion_pairs(seq((1,))) == [(-1, 0)]
+    pairs = inversion_pairs(seq((5, 3, 1, 1)))
     assert len(pairs) == 10
     assert sorted(j - i for i, j in pairs) == sorted(hook_lengths(Partition((5, 3, 1, 1))))
 
@@ -63,21 +65,21 @@ def test_inversion_pairs_examples():
 def test_inversion_pairs_give_hook_multiset():
     for n in range(11):
         for lam in enumerate_partitions(n):
-            pairs = BoundarySequence.from_partition(lam).inversion_pairs()
+            pairs = inversion_pairs(BoundarySequence.from_partition(lam))
             assert len(pairs) == n
             assert sorted(j - i for i, j in pairs) == sorted(hook_lengths(lam))
 
 
 def test_corner_contents_examples():
-    assert seq((6, 3, 2, 2)).corner_contents() == ((-4, 0, 2, 6), (-2, 1, 5))
-    assert seq(()).corner_contents() == ((0,), ())
-    assert seq((3,)).corner_contents() == ((-1, 3), (2,))
+    assert corner_contents(seq((6, 3, 2, 2))) == ((-4, 0, 2, 6), (-2, 1, 5))
+    assert corner_contents(seq(())) == ((0,), ())
+    assert corner_contents(seq((3,))) == ((-1, 3), (2,))
 
 
 def test_corners_interleave():
     for n in range(11):
         for lam in enumerate_partitions(n):
-            inner, outer = BoundarySequence.from_partition(lam).corner_contents()
+            inner, outer = corner_contents(BoundarySequence.from_partition(lam))
             assert len(inner) == len(outer) + 1
             merged = [v for pair in zip(inner, outer) for v in pair] + [inner[-1]]
             assert all(a < b for a, b in zip(merged, merged[1:]))
@@ -88,7 +90,7 @@ def test_corners_match_boundary_reading():
     count = 0
     for n in range(16):
         for lam in enumerate_partitions(n):
-            assert corners(lam) == BoundarySequence.from_partition(lam).corner_contents()
+            assert corners(lam) == corner_contents(BoundarySequence.from_partition(lam))
             count += 1
     assert count == 684
 

@@ -270,3 +270,21 @@ def test_modulus_below_one_is_usage_error(capsys, moduli):
     assert code == 2
     assert out == ""
     assert "modulus must be positive" in err
+
+
+def test_verify_per_partition_sweeps_only_the_given_moduli(capsys):
+    # t = 5 at size 0 with no samples: the empty partition's five residues
+    # k and its hook2-content2 check; the general-core grid has no t = 5 core
+    code, out, _ = run_cli(capsys, "verify", "per-partition", "--t", "5", "--max-size", "0", "--samples", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["grid"]["t"] == [5]
+    assert payload["checks"] == 6
+
+
+def test_verify_polynomiality_rejects_t_1(capsys):
+    code, out, err = run_cli(capsys, "verify", "polynomiality", "--t", "1")
+    assert code == 2
+    assert out == ""
+    assert "needs every t >= 2" in err
+    assert "t = 1 is its classical family" in err

@@ -10,12 +10,13 @@ must be equal and hash equal.
 import random
 from collections import defaultdict
 
+from oracles import cell_stats
 from test_littlewood import window_recompose
 
 from tcores.corners import StatSpec, stat_eval
 from tcores.littlewood import decompose, recompose
 from tcores.operators import covers
-from tcores.partitions import Partition, cell_stats, enumerate_partitions, hook_lengths
+from tcores.partitions import Partition, enumerate_partitions, hook_lengths
 
 SEED = 20261018
 

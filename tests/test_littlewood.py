@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+from oracles import bk_identities, gbinom2
+
 from tcores.boundary import BoundarySequence
 from tcores.littlewood import (
     LittlewoodDecomposition,
-    bk_identities,
     bk_pairs,
     core_offsets,
     decompose,
-    gbinom2,
     is_t_core,
     recompose,
     residue_hook_count,

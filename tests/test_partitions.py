@@ -1,9 +1,10 @@
 import pytest
 
+from oracles import cell_stats, inversion_pairs
+
 from tcores.boundary import BoundarySequence
 from tcores.partitions import (
     Partition,
-    cell_stats,
     contents,
     enumerate_partitions,
     hook_lengths,
@@ -167,5 +168,5 @@ def test_hook_loops_match_cell_stats_and_inversion_pairs():
             cells = cell_stats(lam)
             assert hook_lengths(lam) == tuple(c.hook for c in cells)
             assert contents(lam) == tuple(c.content for c in cells)
-            pairs = BoundarySequence.from_partition(lam).inversion_pairs()
+            pairs = inversion_pairs(BoundarySequence.from_partition(lam))
             assert sorted(hook_lengths(lam)) == sorted(j - i for i, j in pairs)
