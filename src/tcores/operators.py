@@ -8,8 +8,12 @@ mu, weighted by the walk counts F, are tied to the operator by
     P_g(n) = sum_k C(n, k) (D^k g)(mu),
 
 so P_g is a polynomial of degree < r as soon as D^r g vanishes identically
-above mu.  The certificate machinery checks the finite consequence of
-that: vanishing forward differences of P_g(0..m) on an explicit window.
+above mu.  The same walk counts give D^r g(mu) itself, at any mu, as the
+alternating binomial transform of F-weighted layer sums, once the path
+recursion (the covers of each layer are the next, F summed over lower
+covers) is checked.  The certificate machinery checks the finite
+consequence of polynomiality: vanishing forward differences of P_g(0..m)
+on an explicit window.
 """
 
 from __future__ import annotations
@@ -75,33 +79,25 @@ def layer_sum(g: Statistic, mu: Partition, t: int, n: int):
 
 
 def apply_Dt_power(g: Statistic, mu: Partition, t: int, r: int):
-    """D^r g(mu), by the inductive definition, cross-checked against the
-    alternating binomial transform of the layer averages.  A mismatch means
-    an internal inconsistency and aborts."""
+    """D^r g(mu) for arbitrary mu, as one F-weighted sum over the layers:
+
+        D^r g(mu) = sum_k (-1)^(r-k) C(r, k) sum_{(lam, F) in layer k} F g(lam),
+
+    since F counts the chains of k t-hook additions from mu up to lam.  The
+    walk's F is those chain counts when layer 0 is mu alone with F = 1 and
+    `_check_path_recursion` holds for every layer below r; both are checked
+    first, and a failure is an internal inconsistency and aborts."""
     if r < 0:
         raise ValueError(f"operator power must be non-negative, got {r}")
-    memo: dict[tuple[tuple[int, ...], int], object] = {}
-
-    def rec(lam: Partition, k: int):
-        if k == 0:
-            return g(lam)
-        key = (lam.parts, k)
-        if key not in memo:
-            memo[key] = sum(rec(c, k - 1) for c in covers(lam, t)) - rec(lam, k - 1)
-        return memo[key]
-
-    direct = rec(mu, r)
-    # mu need not be a t-core here, so the transform takes the generic sum
-    transform = sum(
-        (-1) ** (r + k) * comb(r, k) * sum(F * g(lam) for lam, F in layer_walk(mu, t, k))
+    if layer_walk(mu, t, 0) != ((mu, 1),):
+        raise RuntimeError(f"path recursion is not anchored: layer 0 above {mu.to_text()} "
+                           f"(t={t}) is not {mu.to_text()} with F = 1")
+    for n in range(r):
+        _check_path_recursion(mu, t, n)
+    return sum(
+        (-1) ** (r - k) * comb(r, k) * sum(F * g(lam) for lam, F in layer_walk(mu, t, k))
         for k in range(r + 1)
     )
-    if direct != transform:
-        raise RuntimeError(
-            f"difference-operator power mismatch at {mu.to_text()} (t={t}, r={r}): "
-            f"{direct} != {transform}"
-        )
-    return direct
 
 
 @dataclass(frozen=True)
@@ -219,16 +215,17 @@ def certify_polynomiality(
 @lru_cache(maxsize=None)
 def _check_path_recursion(mu: Partition, t: int, n: int) -> None:
     """Raise unless the covers of layer n are exactly layer n+1, with
-    F(nu) = sum of F(lam) over its lower covers lam, and the sum of F^2 over
-    layer n+1 is (n+1)! t^(n+1), the normalization of the F^2 measure.  It
+    F(nu) = sum of F(lam) over its lower covers lam, and, when mu is a
+    t-core, the sum of F^2 over layer n+1 is (n+1)! t^(n+1), the
+    normalization of the F^2 measure (above a non-core it is not).  It
     walks the parts tuples of `_cover_parts`, so it fills no `covers` cache."""
     reached: dict[tuple[int, ...], int] = {}
     for lam, F in layer_walk(mu, t, n):
         for parts in _cover_parts(lam.parts, t):
             reached[parts] = reached.get(parts, 0) + F
     upper = {lam.parts: F for lam, F in layer_walk(mu, t, n + 1)}
-    where = f"n={n} (t={t}, core={mu.to_text()})"
+    where = f"n={n} (t={t}, mu={mu.to_text()})"
     if reached != upper:
         raise RuntimeError(f"path recursion fails between layers {where}")
-    if sum(F * F for F in upper.values()) != factorial(n + 1) * t ** (n + 1):
+    if is_t_core(mu, t) and sum(F * F for F in upper.values()) != factorial(n + 1) * t ** (n + 1):
         raise RuntimeError(f"sum of F^2 over layer n+1 is not (n+1)! t^(n+1) at {where}")

@@ -60,15 +60,6 @@ class Partition:
     def to_text(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "-"
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
-
     def contains(self, other: "Partition") -> bool:
         """Cellwise containment of Young diagrams."""
         if len(other.parts) > len(self.parts):

@@ -21,6 +21,7 @@ from .corners import (
     corners,
     hook_delta_power,
     hook_delta_power_total,
+    q_increment,
     q_k,
     stat_eval,
 )
@@ -226,7 +227,7 @@ def operators_suite(
     transform_grid = _core_grid(ts, {2: ((1,),), 3: ((5, 3, 1, 1),)})
     for t, mu in transform_grid:
         for g in _standard_statistics(t):
-            # apply_Dt_power internally asserts the inverse (alternating) transform
+            # apply_Dt_power checks the path recursion of the layers it sums
             dvals = [apply_Dt_power(g, mu, t, k) for k in range(n_max + 1)]
             pvals = [layer_sum(g, mu, t, n) for n in range(n_max + 1)]
             for n in range(n_max + 1):
@@ -350,6 +351,13 @@ def _increment_checks(rep: SuiteReport, samples: int, sample_ts: tuple[int, ...]
             Counter(contents(lam_plus)),
             t=t, mu=mu, quotient=i, content=c,
         )
+        for k in (2, 3, 4):
+            rep.check(
+                "q-increment",
+                q_increment(quots[i], k, c),
+                q_k(grown[i], k) - q_k(quots[i], k),
+                t=t, mu=mu, quotient=i, content=c, k=k,
+            )
         for k in range(t):
             for power in (0, 2, 4):
                 spec = StatSpec("hook", t, k, power, paired=k != 0)

@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 from tcores.boundary import BoundarySequence
 from tcores.littlewood import bk_pairs, core_offsets, decompose
+from tcores.operators import covers
 from tcores.partitions import Partition, syt_count_oracle
 from tcores.weights import multinomial
 
@@ -23,13 +24,22 @@ class CellStat(NamedTuple):
     content: int
 
 
+def conjugate(lam: Partition) -> Partition:
+    """The transposed diagram: part j is the height of lam's column j."""
+    cols = [0] * (lam.parts[0] if lam.parts else 0)
+    for p in lam.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(cols)
+
+
 def cell_stats(lam: Partition) -> list[CellStat]:
     """Hook length and content of every cell, row-major.
 
     Hooks come from conjugate column counts, O(cells) overall:
     hook = arm + leg + 1 = (row length - col) + (col height - row) + 1.
     """
-    conj = lam.conjugate().parts
+    conj = conjugate(lam).parts
     out = []
     for i, row_len in enumerate(lam.parts, start=1):
         for j in range(1, row_len + 1):
@@ -57,6 +67,26 @@ def F_skew(lam: Partition, mu: Partition, t: int) -> int:
 def F_lambda(lam: Partition, t: int) -> int:
     """F of lam over its own t-core."""
     return F_skew(lam, decompose(lam, t).core, t)
+
+
+# ---------------------------------------------------- difference operator
+
+
+def apply_Dt_power_inductive(g, mu: Partition, t: int, r: int):
+    """D^r g(mu) by the inductive definition: D^k g(lam) is the sum of
+    D^(k-1) g over the covers of lam minus D^(k-1) g(lam), memoized per
+    (lam, k).  It reads `covers` and never the layer walk's F."""
+    memo = {}
+
+    def rec(lam: Partition, k: int):
+        if k == 0:
+            return g(lam)
+        key = (lam.parts, k)
+        if key not in memo:
+            memo[key] = sum(rec(c, k - 1) for c in covers(lam, t)) - rec(lam, k - 1)
+        return memo[key]
+
+    return rec(mu, r)
 
 
 # -------------------------------------------------------- boundary word

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import cell_stats, corner_contents, inversion_pairs, render
+from oracles import cell_stats, conjugate, corner_contents, inversion_pairs, render
 
 from tcores.boundary import BoundarySequence, partition_from_word
 from tcores.corners import corners
@@ -101,7 +101,7 @@ def test_content_reading():
     for n in range(1, 16):
         for lam in enumerate_partitions(n):
             s = BoundarySequence.from_partition(lam)
-            conj = lam.conjugate().parts
+            conj = conjugate(lam).parts
             row_ends = Counter(c.content for c in cell_stats(lam) if c.col == lam.parts[c.row - 1])
             col_ends = Counter(c.content for c in cell_stats(lam) if c.row == conj[c.col - 1])
             zeros = Counter(i for i in range(s.lo, s.hi + 1) if s.value(i) == 0)

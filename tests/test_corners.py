@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -86,6 +87,18 @@ def test_q_increment_matches_direct():
                 grown = lam.add_cell(c)
                 for k in range(7):
                     assert q_increment(lam, k, c) == q_k(grown, k) - q_k(lam, k)
+
+
+def test_per_partition_suite_catches_q_increment_without_its_j1_term(monkeypatch):
+    from tcores import suites
+
+    rep = suites.per_partition_suite(max_size=0, layer_n=0, samples=30, seed=7)
+    assert rep.ok
+    monkeypatch.setattr(
+        suites, "q_increment", lambda lam, k, c: q_increment(lam, k, c) - 2 * comb(k, 2) * c ** (k - 2)
+    )
+    rep = suites.per_partition_suite(max_size=0, layer_n=0, samples=30, seed=7)
+    assert rep.first_failure["check"] == "q-increment"
 
 
 def test_q3_along_growth_chain():

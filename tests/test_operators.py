@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from oracles import apply_Dt_power_inductive
 from tcores import operators
 from tcores.boundary import BoundarySequence
 from tcores.corners import StatSpec
@@ -21,7 +22,7 @@ from tcores.operators import (
     layer_sum,
 )
 from tcores.partitions import Partition, enumerate_partitions
-from tcores.suites import _mixed_statistics, _standard_statistics, operators_suite
+from tcores.suites import _mixed_statistics, _q_exponent_tuples, _standard_statistics, operators_suite
 from tcores.weights import G_lambda, layer_walk
 
 EMPTY = Partition()
@@ -368,3 +369,64 @@ def test_covers_are_the_sorted_cover_parts():
             for t in range(1, 5):
                 parts = operators._cover_parts(lam.parts, t)
                 assert covers(lam, t) == tuple(sorted(map(Partition, parts)))
+
+
+def test_apply_Dt_power_matches_the_inductive_oracle():
+    # the F-weighted layer sums against the memoized recursion over covers
+    lams = [lam for n in range(7) for lam in enumerate_partitions(n)]
+    for t in (2, 3):
+        q_stats = [PartitionStatistic(t, q_exponents=e) for e in _q_exponent_tuples(t, 4)]
+        assert len(q_stats) == 7
+        for g in q_stats + _standard_statistics(t):
+            for lam in lams:
+                for r in range(4):
+                    expected = apply_Dt_power_inductive(g, lam, t, r)
+                    assert apply_Dt_power(g, lam, t, r) == expected, (t, g.label(), lam, r)
+
+
+# (2) is no 2-core, so the F^2 normalization says nothing above it.
+NON_CORE = Partition((2,))
+Q2 = PartitionStatistic(2, q_exponents=(Partition((2,)), EMPTY))
+
+
+def test_apply_Dt_power_catches_F_doubled_above_a_non_core(fresh_path_checks, monkeypatch):
+    # Doubling F in every layer keeps F(nu) = sum of F(lam) over lower covers,
+    # and above a non-core no F^2 sum pins F's scale: only the anchor F = 1 at
+    # layer 0 does.  Without it D^1 of Q2 would read 1, not 1/2.
+    assert not is_t_core(NON_CORE, 2)
+    assert apply_Dt_power(Q2, NON_CORE, 2, 1) == Fraction(1, 2)
+    _check_path_recursion.cache_clear()
+    real = operators.layer_walk
+    monkeypatch.setattr(
+        operators, "layer_walk", lambda mu, t, n: tuple((lam, 2 * F) for lam, F in real(mu, t, n))
+    )
+    assert _check_path_recursion(NON_CORE, 2, 0) is None
+    for r in range(4):
+        with pytest.raises(RuntimeError, match="path recursion"):
+            apply_Dt_power(Q2, NON_CORE, 2, r)
+
+
+def test_apply_Dt_power_catches_an_F_off_by_one_at_layer_0(fresh_path_checks, monkeypatch):
+    real = operators.layer_walk
+    monkeypatch.setattr(
+        operators, "layer_walk", lambda mu, t, n: tuple((lam, F + (n == 0)) for lam, F in real(mu, t, n))
+    )
+    for r in range(4):
+        with pytest.raises(RuntimeError, match="path recursion"):
+            apply_Dt_power(Q2, NON_CORE, 2, r)
+
+
+@pytest.mark.parametrize("victim, dropped, first_r", [((2,), (4,), 1), ((4,), (6,), 2)])
+def test_apply_Dt_power_catches_a_dropped_cover(fresh_path_checks, monkeypatch, victim, dropped, first_r):
+    # (4) is reached at t=2 from (2) alone and (6) from (4) alone; a power
+    # below first_r never reads the layer whose covers lose them
+    real = operators._cover_parts
+    monkeypatch.setattr(
+        operators, "_cover_parts",
+        lambda parts, t: (nu for nu in real(parts, t) if parts != victim or nu != dropped),
+    )
+    for r in range(first_r):
+        assert apply_Dt_power(Q2, NON_CORE, 2, r) == [0, Fraction(1, 2)][r]
+    for r in range(first_r, 4):
+        with pytest.raises(RuntimeError, match="path recursion"):
+            apply_Dt_power(Q2, NON_CORE, 2, r)
